@@ -1,6 +1,5 @@
 // E10 — solver performance: reference O(P·N²) vs fast O(P·N), the level-fill
-// kernel ladder (legacy binary search vs scalar two-pointer vs the SIMD
-// kernels, fill-only on preallocated tables), thread scaling of the
+// kernel's fill-only cost on preallocated tables, thread scaling of the
 // wavefront-parallel fast solver (plus the sequential-vs-wavefront c-sweep
 // that locates the profitable crossover), the policy evaluator, and
 // guideline-construction throughput.
@@ -8,7 +7,7 @@
 // Self-timed on the harness clock (best-of-`reps` wall time) so the perf
 // record shares the tier/CSV/JSON plumbing with the model experiments; the
 // absolute numbers are one machine's sample, the shapes (scaling exponents,
-// kernel ratios, thread speedups) are the claims.
+// thread speedups) are the claims.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -67,13 +66,11 @@ void run(harness::Context& ctx) {
              util::Table::fmt(fast_fit.slope, 3) + " (theory ~1)");
   }
 
-  // 1b. Level-fill kernel ladder: every compiled kernel re-fills the SAME
-  //     preallocated level pair (level 2 from a real level-1 table, the
-  //     regime the diagonal fast path is built for). Fill-only by design —
-  //     no slab allocation, no first-touch page faults — so the ratios are
-  //     the kernel speedups the scan restructuring buys, not allocator
-  //     noise. Re-filling an already-final level is idempotent under the
-  //     kernel read contract (see solver/fill_kernel.h), so one warm fill
+  // 1b. Level-fill kernel, fill-only: the kernel re-fills the SAME
+  //     preallocated level pair (level 2 from a real level-1 table). No slab
+  //     allocation, no first-touch page faults, so the row is the kernel's
+  //     own cost. Re-filling an already-final level is idempotent under the
+  //     kernel read contract (see solver/fast_solver.cpp), so one warm fill
   //     precedes the timed repetitions.
   {
     const Params big_c{1024};
@@ -83,50 +80,29 @@ void run(harness::Context& ctx) {
       level0[static_cast<std::size_t>(l)] = positive_sub(l, big_c.c);
     }
     std::vector<Ticks> level1(static_cast<std::size_t>(n) + 1, 0);
-    solver::run_fill_kernel(solver::SolverKernel::kLegacy, level1, level0, 1,
-                            n + 1, big_c.c);
+    solver::run_fill_kernel(level1, level0, 1, n + 1, big_c.c);
     std::vector<Ticks> level2(static_cast<std::size_t>(n) + 1, 0);
-
-    std::vector<solver::SolverKernel> ladder{solver::SolverKernel::kLegacy};
-    for (solver::SolverKernel k : solver::supported_solver_kernels()) {
-      if (k != solver::SolverKernel::kLegacy) ladder.push_back(k);
-    }
-    util::Table out({"kernel", "fill ms/level", "speedup vs legacy"});
-    double legacy_ms = 0.0, scalar_ms = 0.0, best_simd_ms = 0.0, active_ms = 0.0;
-    const solver::SolverKernel active = solver::active_solver_kernel();
-    for (solver::SolverKernel k : ladder) {
-      std::fill(level2.begin(), level2.end(), 0);
-      solver::run_fill_kernel(k, level2, level1, 1, n + 1, big_c.c);  // warm
-      const double ms = harness::time_best_of_ms(std::max(reps, 3), [&] {
-        solver::run_fill_kernel(k, level2, level1, 1, n + 1, big_c.c);
-      });
-      if (k == solver::SolverKernel::kLegacy) legacy_ms = ms;
-      if (k == solver::SolverKernel::kScalar) scalar_ms = ms;
-      if (k == solver::SolverKernel::kAvx2 || k == solver::SolverKernel::kNeon) {
-        if (best_simd_ms == 0.0 || ms < best_simd_ms) best_simd_ms = ms;
-      }
-      if (k == active) active_ms = ms;
-      harness::write_perf_row(ctx, std::string("kernel_") + solver::solver_kernel_name(k),
-                              static_cast<double>(n), ms, static_cast<double>(n));
-      out.add_row({solver::solver_kernel_name(k), util::Table::fmt(ms, 5),
-                   util::Table::fmt(legacy_ms > 0 && ms > 0 ? legacy_ms / ms : 0.0, 4)});
-    }
-    ctx.table(out, "level-fill kernel ladder, c = 1024, N = " + std::to_string(n) +
+    solver::run_fill_kernel(level2, level1, 1, n + 1, big_c.c);  // warm
+    const double ms = harness::time_best_of_ms(std::max(reps, 3), [&] {
+      solver::run_fill_kernel(level2, level1, 1, n + 1, big_c.c);
+    });
+    harness::write_perf_row(ctx, "kernel_scalar", static_cast<double>(n), ms,
+                            static_cast<double>(n));
+    util::Table out({"kernel", "fill ms/level", "ns/lifespan"});
+    out.add_row({"scalar two-pointer", util::Table::fmt(ms, 5),
+                 util::Table::fmt(ms * 1e6 / static_cast<double>(n), 4)});
+    ctx.table(out, "level-fill kernel, c = 1024, N = " + std::to_string(n) +
                        " (fill-only, preallocated)");
-    // The speedup ratios are same-run, same-machine quantities — stable
-    // enough to gate in both tiers (unlike absolute wall clocks).
-    if (legacy_ms > 0 && active_ms > 0) {
-      ctx.metric("kernel_speedup_vs_legacy", legacy_ms / active_ms);
-    }
-    if (scalar_ms > 0 && best_simd_ms > 0) {
-      ctx.metric("simd_speedup_vs_scalar", scalar_ms / best_simd_ms);
-    }
-    ctx.text("active kernel on this host: " +
-             std::string(solver::solver_kernel_name(active)) +
-             (legacy_ms > 0 && active_ms > 0
-                  ? ", " + util::Table::fmt(legacy_ms / active_ms, 3) +
-                        "x over the legacy binary-search scan"
-                  : ""));
+    // Recorded constants, not re-measured: the library once carried AVX2
+    // and NEON builds of this kernel and a per-lifespan binary-search
+    // kernel, removed because the vector build bought nothing end to end.
+    ctx.text(
+        "historic figures for the removed kernels (same grid, full tier): the "
+        "AVX2 kernel ran 6.4x and this scalar kernel 4.9x over the "
+        "binary-search scan; AVX2 was 1.14x over scalar (median of 10 runs, "
+        "4t-avx2). End to end on the cold_solve benchmark workload, scalar vs "
+        "AVX2 gave a median of 1326 vs 1340 scenarios/s and a p50 job latency "
+        "of 5.30 vs 5.36 ms (6 alternating pairs, seeds 1-6, 4t-avx2).");
   }
 
   // 2. Fast solver across interrupt budgets at a fixed grid.
@@ -150,8 +126,8 @@ void run(harness::Context& ctx) {
   //    baseline. max_p = 7 gives the DAG 8 levels of width to spread, so an
   //    8-thread pool can actually be saturated once the one-block pipeline
   //    fill completes. (Forced, so the shape is measured even on machines
-  //    where the auto plan would decline; the plan's own decision — and the
-  //    scan-step calibration it priced cells with — is reported below.)
+  //    where the auto plan declines; the plan's own decision is reported
+  //    below.)
   {
     const Params big_c{1024};
     const int wave_p = 7;
@@ -180,34 +156,33 @@ void run(harness::Context& ctx) {
     ctx.table(out, "wavefront fast solver, max_p = " + std::to_string(wave_p) +
                        ", c = 1024, N = " + std::to_string(n));
 
-    // The engagement decision the auto mode would take on this grid, with
-    // the two calibrated quantities it weighed. A declined plan on a machine
-    // without real parallelism (e.g. a 1-core CI box) is the *correct*
-    // outcome — the threshold exists so the parallel path never engages a
-    // losing configuration.
+    // The engagement decision the auto mode takes on this grid under the
+    // static rule (solver::plan_wavefront). A declined plan on a machine
+    // without real parallelism (e.g. a 1-core CI box) is the correct
+    // outcome there.
     util::ThreadPool pool4(4);
     const auto plan = solver::plan_wavefront(wave_p, n, big_c, &pool4);
     // Full tier only: whether auto mode engages is a property of the host's
-    // core count (0 on 1-core, typically 1 on multicore), so comparing it
-    // across machines in the strict same-tier quick gate would fail on
-    // hardware class, not on regressions.
+    // core count (0 on 1-core, 1 on multicore), so comparing it across
+    // machines in the strict same-tier quick gate would fail on hardware
+    // class, not on regressions.
     if (!ctx.quick()) {
       ctx.metric("wavefront_engaged_auto", plan.engage ? 1.0 : 0.0);
     }
     ctx.metric("wavefront_width", static_cast<double>(plan.width));
-    ctx.text("auto engagement plan on this grid: " + std::string(plan.reason) +
+    ctx.text("auto engagement plan on this grid: " + plan.reason +
              " (DAG width " + util::Table::fmt(static_cast<long long>(plan.width)) +
-             ", est. cell cost " + util::Table::fmt(plan.cell_ns_estimate / 1000.0, 1) +
-             " us vs measured dispatch " +
-             util::Table::fmt(plan.dispatch_ns / 1000.0, 1) + " us/task)");
+             ", " + util::Table::fmt(static_cast<long long>(plan.num_blocks)) +
+             " blocks, c = 1024 vs the static minimum " +
+             util::Table::fmt(static_cast<long long>(solver::kWavefrontMinC)) + ")");
   }
 
   // 3b. Sequential-vs-wavefront sweep over the setup cost c: per-cell work
   //     grows with c (blocks are c wide), so the profitable crossover is a
   //     c threshold on a given machine. The smallest swept c where the
   //     4-thread wavefront beats sequential is recorded as
-  //     `wavefront_crossover_c` (0 = never profitable here, the threshold
-  //     keeps the parallel path disengaged).
+  //     `wavefront_crossover_c` (0 = never profitable here). The static
+  //     engagement rule's solver::kWavefrontMinC was set from this metric.
   {
     const Ticks n = ctx.quick() ? (1 << 14) : (1 << 17);
     const std::vector<Ticks> cs = ctx.quick() ? std::vector<Ticks>{64, 512}
@@ -248,8 +223,8 @@ void run(harness::Context& ctx) {
                        util::Table::fmt(static_cast<long long>(crossover)) +
                        " on this machine"
                  : "wavefront never profitable on this machine (hardware "
-                   "parallelism unavailable); the auto threshold keeps it "
-                   "disengaged");
+                   "parallelism unavailable); the auto rule keeps it "
+                   "disengaged at width < 2");
   }
 
   // 4. Policy-evaluation DP: serial grid sweep and thread scaling.
@@ -311,10 +286,10 @@ const harness::Experiment& experiment_solver_perf() {
       "E10", "solver_perf", "Solver performance baselines",
       "bench_solver_perf",
       "Wall-clock baselines for the solvers: reference O(P·N²) vs fast "
-      "O(P·N) with empirical scaling exponents, the level-fill kernel ladder "
-      "(legacy binary-search scan vs scalar two-pointer vs SIMD, fill-only "
-      "on preallocated tables), thread scaling of the wavefront-parallel "
-      "fast solver with its auto-engagement plan and the "
+      "O(P·N) with empirical scaling exponents, the level-fill kernel's "
+      "fill-only cost on preallocated tables, thread scaling of the "
+      "wavefront-parallel fast solver with its static auto-engagement rule "
+      "and the "
       "sequential-vs-wavefront crossover sweep, the policy-evaluation DP, "
       "and guideline construction throughput.",
       run};

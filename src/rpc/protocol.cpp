@@ -1,6 +1,7 @@
 #include "rpc/protocol.h"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -119,18 +120,25 @@ class LineReader {
   std::istringstream is_;
 };
 
+/// An enum wire code: an int64 that must also fit an int before narrowing,
+/// or "status=4294967297" would decode as status 1.
+int parse_wire_code(const std::string& value, const std::string& line) {
+  const auto code = parse_i64(value, line);
+  if (code < std::numeric_limits<int>::min() || code > std::numeric_limits<int>::max()) {
+    bad("wire code out of range in '" + line + "'");
+  }
+  return static_cast<int>(code);
+}
+
 service::SubmitStatus status_from_value(const std::string& value,
                                         const std::string& line) {
-  const auto code = parse_i64(value, line);
-  const auto status =
-      service::submit_status_from_wire(static_cast<int>(code));
+  const auto status = service::submit_status_from_wire(parse_wire_code(value, line));
   if (!status) bad("unknown submit-status wire code in '" + line + "'");
   return *status;
 }
 
 service::JobState state_from_value(const std::string& value, const std::string& line) {
-  const auto code = parse_i64(value, line);
-  const auto state = service::job_state_from_wire(static_cast<int>(code));
+  const auto state = service::job_state_from_wire(parse_wire_code(value, line));
   if (!state) bad("unknown job-state wire code in '" + line + "'");
   return *state;
 }

@@ -1,348 +1,120 @@
 #include "solver/fast_solver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <mutex>
-#include <span>
-#include <stdexcept>
 #include <thread>
-#include <vector>
-
-#include "solver/fill_kernel.h"
-#include "util/simd.h"
-
-// Which ISA-specific kernel TUs are linked into the library. CMake defines
-// these alongside adding the matching fast_solver_<isa>.cpp source; without
-// the definition the dispatcher must not even reference the symbol.
-#ifndef NOWSCHED_HAVE_AVX2
-#define NOWSCHED_HAVE_AVX2 0
-#endif
-#ifndef NOWSCHED_HAVE_NEON
-#define NOWSCHED_HAVE_NEON 0
-#endif
 
 namespace nowsched::solver {
 
-namespace {
+// ## Derivation of the two-pointer kernel
+//
+// Per lifespan l the crossover of
+//   A(t) = (t − c) + cur[l − t]   (non-decreasing in t)
+//   B(t) = prev[l − t]            (non-increasing in t)
+// over t ∈ [c, l] can be found by binary search. Substitute j = l − t and
+// m = l − c (so j ∈ [0, m]):
+//
+//   crossover_best(l) = max_{0<=j<=m} min( (m − j) + cur[j], prev[j] )
+//
+// Define w[j] = j + prev[j] − cur[j]. Under the table invariants (cur and
+// prev non-decreasing and 1-Lipschitz, cur <= prev pointwise) w is
+// non-decreasing, and "B(t) <= A(t)" at position j is exactly "w[j] <= m".
+// So the crossover index
+//
+//   k(m) = max{ j ∈ [0, m] : w[j] <= m }      (or −1 when w[0] > m)
+//
+// is MONOTONE NON-DECREASING in m — and m increases by exactly 1 per
+// lifespan. That turns the per-lifespan O(log) binary search into an
+// amortized O(1) two-pointer advance, and
+//
+//   x(m) = max( k >= 0 ? prev[k] : −inf,  (m − (k+1)) + cur[k+1] )
+//
+// reproduces the binary-search result bit-for-bit in every branch:
+//   * k = −1  ("never crosses"):      x = m + cur[0]            = A(l)
+//   * k = m   ("crossed at/before c"): w[m] <= m forces
+//     prev[m] <= cur[m], which with the invariant cur <= prev means
+//     prev[m] = cur[m] = min(A(c), B(c)); the a-term reads cur[m+1] — one
+//     index past the scan range — but cur[m+1] − 1 <= cur[m] <= prev[m]
+//     (1-Lipschitz), so that term NEVER wins. The read itself is benign
+//     even mid-solve: m+1 <= hi − c <= lo stays inside this cell's own
+//     rows, i.e. same-task memory (zero-init or an earlier tile's final
+//     value), never another wavefront cell's — no data race, and either
+//     value the read can observe is provably below prev[m].
+//   * otherwise:                       x = max(B(l − k), A(l − k − 1)),
+//     the max(A, B) pair straddling the crossover.
+//
+// ## Two-phase tile structure
+//
+// [lo, hi) is processed in tiles of min(256, c) lifespans:
+//   phase 1  computes x(m) for the whole tile into a stack buffer, walking
+//            k forward (never backward);
+//   phase 2  merges the carry:  cur[l] = max(x(m), cur[l − 1]),  a
+//            prefix-max over x seeded with cur[t0 − 1].
+// A tile's phase 1 runs wholly before its phase 2 writes, so every phase-1
+// read must land below the tile start; tile height <= c guarantees it.
+//
+// Read bounds (the wavefront contract): a tile starting at t0 >= lo probes
+// prev/cur only at indices <= m <= t1 − 1 − c < t0, except the benign
+// cur[m+1] read argued above, which reaches at most t1 − c <= t0 —
+// same-cell memory either way; phase 2 writes [t0, t1) and reads
+// cur[t0 − 1]. So a (p, b) cell depends on exactly (p, b−1) and
+// (p−1, b−1).
+void run_fill_kernel(std::span<Ticks> cur, std::span<const Ticks> prev,
+                     Ticks lo, Ticks hi, Ticks c) {
+  constexpr Ticks kTileCap = 256;
+  const Ticks tile = std::min(kTileCap, c);
+  constexpr Ticks kLow = std::numeric_limits<Ticks>::min();
+  Ticks x[static_cast<std::size_t>(kTileCap)];
 
-/// max_{t in [c, l]} min((t−c) + cur[l−t], prev[l−t]) — the legacy
-/// per-lifespan binary search. Kept as the in-tree reference the two-pointer
-/// kernels are differentially tested against (and the E10 speedup baseline).
-/// Reads cur[] only at indices <= l − c. Returns 0 when l < c.
-Ticks crossover_best_legacy(std::span<const Ticks> cur,
-                            std::span<const Ticks> prev, Ticks l, Ticks c,
-                            std::size_t& probes) {
-  if (l < c) {
-    ++probes;
-    return 0;
-  }
-  auto a = [&](Ticks t) {
-    return (t - c) + cur[static_cast<std::size_t>(l - t)];
+  auto w = [&](Ticks j) {
+    return j + prev[static_cast<std::size_t>(j)] -
+           cur[static_cast<std::size_t>(j)];
   };
-  auto b = [&](Ticks t) { return prev[static_cast<std::size_t>(l - t)]; };
 
-  // Binary search the last t in [c, l] with A(t) < B(t); A is non-decreasing
-  // and B non-increasing, so the predicate A<B is monotone (true then false).
-  Ticks lo = c, hi = l;
-  probes += 2;
-  if (!(a(lo) < b(lo))) {
-    // Crossover at or before c: the best candidate is t = c itself.
-    return std::min(a(lo), b(lo));
-  }
-  if (a(hi) < b(hi)) {
-    // Never crosses: min is A, maximized at t = l.
-    return a(hi);
-  }
-  while (lo + 1 < hi) {
-    const Ticks mid = lo + (hi - lo) / 2;
-    ++probes;
-    if (a(mid) < b(mid)) lo = mid;
-    else hi = mid;
-  }
-  // lo: last t with A<B (min = A there); hi = lo+1: first t with A>=B.
-  return std::max(a(lo), b(hi));
-}
-
-/// One fused legacy pass over lifespans [lo, hi): crossover scan + carry.
-void fill_range_legacy(std::span<Ticks> cur, std::span<const Ticks> prev,
-                       Ticks lo, Ticks hi, Ticks c, std::size_t* steps) {
-  std::size_t probes = 0;
-  for (Ticks l = lo; l < hi; ++l) {
-    cur[static_cast<std::size_t>(l)] =
-        std::max(crossover_best_legacy(cur, prev, l, c, probes),
-                 cur[static_cast<std::size_t>(l - 1)]);
-  }
-  if (steps != nullptr) *steps += probes + static_cast<std::size_t>(hi - lo);
-}
-
-SolverKernel auto_solver_kernel() {
-#if NOWSCHED_HAVE_AVX2
-  if (util::simd::cpu_supports_avx2()) return SolverKernel::kAvx2;
-#endif
-#if NOWSCHED_HAVE_NEON
-  if (util::simd::cpu_supports_neon()) return SolverKernel::kNeon;
-#endif
-  return SolverKernel::kScalar;
-}
-
-/// -1 = no force; otherwise the forced kernel's enum value.
-std::atomic<int> g_forced_kernel{-1};
-
-SolverKernel env_or_auto_kernel() {
-  static const SolverKernel resolved = [] {
-    std::string warning;
-    const std::optional<SolverKernel> pinned =
-        solver_kernel_from_env_value(std::getenv("NOWSCHED_KERNEL"), &warning);
-    if (!warning.empty()) {
-      std::fprintf(stderr, "nowsched: %s\n", warning.c_str());
+  // Seed k = k(m0) for the block's first lifespan with one binary search
+  // (every probe index <= m0 = lo − c < lo, i.e. final memory); afterwards
+  // k only advances.
+  Ticks k = -1;
+  {
+    const Ticks m0 = lo - c;
+    if (m0 >= 0 && w(0) <= m0) {
+      if (w(m0) <= m0) {
+        k = m0;
+      } else {
+        Ticks a = 0, b = m0;  // w(a) <= m0 < w(b)
+        while (a + 1 < b) {
+          const Ticks mid = a + (b - a) / 2;
+          (w(mid) <= m0 ? a : b) = mid;
+        }
+        k = a;
+      }
     }
-    return pinned.value_or(auto_solver_kernel());
-  }();
-  return resolved;
-}
-
-}  // namespace
-
-const char* solver_kernel_name(SolverKernel kernel) noexcept {
-  switch (kernel) {
-    case SolverKernel::kLegacy: return "legacy";
-    case SolverKernel::kScalar: return "scalar";
-    case SolverKernel::kAvx2: return "avx2";
-    case SolverKernel::kNeon: return "neon";
   }
-  return "unknown";
-}
 
-std::optional<SolverKernel> solver_kernel_from_name(
-    std::string_view name) noexcept {
-  if (name == "legacy") return SolverKernel::kLegacy;
-  if (name == "scalar") return SolverKernel::kScalar;
-  if (name == "avx2") return SolverKernel::kAvx2;
-  if (name == "neon") return SolverKernel::kNeon;
-  return std::nullopt;
-}
+  for (Ticks t0 = lo; t0 < hi; t0 += tile) {
+    const Ticks t1 = std::min(hi, t0 + tile);
+    const int len = static_cast<int>(t1 - t0);
 
-bool solver_kernel_supported(SolverKernel kernel) noexcept {
-  switch (kernel) {
-    case SolverKernel::kLegacy:
-    case SolverKernel::kScalar:
-      return true;
-    case SolverKernel::kAvx2:
-#if NOWSCHED_HAVE_AVX2
-      return util::simd::cpu_supports_avx2();
-#else
-      return false;
-#endif
-    case SolverKernel::kNeon:
-#if NOWSCHED_HAVE_NEON
-      return util::simd::cpu_supports_neon();
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-std::vector<SolverKernel> supported_solver_kernels() {
-  std::vector<SolverKernel> kernels;
-  for (SolverKernel k : {SolverKernel::kAvx2, SolverKernel::kNeon,
-                         SolverKernel::kScalar, SolverKernel::kLegacy}) {
-    if (solver_kernel_supported(k)) kernels.push_back(k);
-  }
-  return kernels;
-}
-
-SolverKernel active_solver_kernel() {
-  const int forced = g_forced_kernel.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<SolverKernel>(forced);
-  return env_or_auto_kernel();
-}
-
-void force_solver_kernel(SolverKernel kernel) {
-  if (!solver_kernel_supported(kernel)) {
-    throw std::invalid_argument(
-        std::string("force_solver_kernel: kernel \"") +
-        solver_kernel_name(kernel) + "\" is not supported by this build/CPU");
-  }
-  g_forced_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
-}
-
-void clear_forced_solver_kernel() noexcept {
-  g_forced_kernel.store(-1, std::memory_order_relaxed);
-}
-
-std::optional<SolverKernel> solver_kernel_from_env_value(const char* value,
-                                                         std::string* warning) {
-  if (warning != nullptr) warning->clear();
-  if (value == nullptr) return std::nullopt;
-  const std::string s(value);
-  auto fail = [&](const char* why) -> std::optional<SolverKernel> {
-    if (warning != nullptr) {
-      *warning = "NOWSCHED_KERNEL=\"" + s + "\" " + why +
-                 "; using auto kernel dispatch";
+    // Phase 1: crossover pass into x[0..len).
+    for (int i = 0; i < len; ++i) {
+      const Ticks m = (t0 + i) - c;
+      if (m < 0) {  // l < c: no completable period, the carry alone decides.
+        x[i] = 0;
+        continue;
+      }
+      while (k < m && w(k + 1) <= m) ++k;
+      const Ticks a = (m - (k + 1)) + cur[static_cast<std::size_t>(k + 1)];
+      x[i] = std::max(k >= 0 ? prev[static_cast<std::size_t>(k)] : kLow, a);
     }
-    return std::nullopt;
-  };
-  if (s == "auto") return std::nullopt;
-  if (s.empty()) return fail("is empty (expected legacy|scalar|avx2|neon|auto)");
-  const std::optional<SolverKernel> kernel = solver_kernel_from_name(s);
-  if (!kernel) return fail("is not a known kernel (expected legacy|scalar|avx2|neon|auto)");
-  if (!solver_kernel_supported(*kernel)) {
-    return fail("names a kernel this build/CPU cannot run");
-  }
-  return kernel;
-}
 
-void run_fill_kernel(SolverKernel kernel, std::span<Ticks> cur,
-                     std::span<const Ticks> prev, Ticks lo, Ticks hi, Ticks c,
-                     std::size_t* scan_steps) {
-  if (!solver_kernel_supported(kernel)) {
-    throw std::invalid_argument(
-        std::string("run_fill_kernel: kernel \"") + solver_kernel_name(kernel) +
-        "\" is not supported by this build/CPU");
-  }
-  switch (kernel) {
-    case SolverKernel::kLegacy:
-      fill_range_legacy(cur, prev, lo, hi, c, scan_steps);
-      return;
-    case SolverKernel::kScalar:
-      detail::fill_range_two_phase<util::simd::I64Scalar>(cur, prev, lo, hi, c,
-                                                          scan_steps);
-      return;
-    case SolverKernel::kAvx2:
-#if NOWSCHED_HAVE_AVX2
-      detail::fill_range_avx2(cur, prev, lo, hi, c, scan_steps);
-      return;
-#else
-      break;
-#endif
-    case SolverKernel::kNeon:
-#if NOWSCHED_HAVE_NEON
-      detail::fill_range_neon(cur, prev, lo, hi, c, scan_steps);
-      return;
-#else
-      break;
-#endif
-  }
-  // Unreachable: solver_kernel_supported() already rejected these.
-  throw std::logic_error("run_fill_kernel: unreachable kernel dispatch");
-}
-
-double modeled_scan_steps(SolverKernel kernel, Ticks c, Ticks lo, Ticks hi) {
-  if (hi <= lo) return 0.0;
-  const double n = static_cast<double>(hi - lo);
-  const double below_c =
-      static_cast<double>(std::clamp<Ticks>(std::min(hi, c) - lo, 0, hi - lo));
-  const double scanned = n - below_c;
-  if (kernel == SolverKernel::kLegacy) {
-    // Per scanned lifespan: 2 boundary probes + a binary search over [c, l],
-    // ~log2(l − c) halvings. Summed exactly via lgamma:
-    //   sum_{n=a}^{b} log2(n) = (lgamma(b+1) − lgamma(a)) / ln 2.
-    // (The old model charged log2(table size) per lifespan — the search
-    // range is l − c, which is what the depth actually tracks.)
-    double depth = 0.0;
-    const Ticks a0 = std::max<Ticks>(lo - c, 1);
-    const Ticks b0 = hi - 1 - c;
-    if (b0 >= a0) {
-      depth = (std::lgamma(static_cast<double>(b0) + 1.0) -
-               std::lgamma(static_cast<double>(a0))) /
-              std::log(2.0);
+    // Phase 2: prefix-max carry merge x → cur[t0, t1).
+    Ticks carry = cur[static_cast<std::size_t>(t0 - 1)];
+    for (int j = 0; j < len; ++j) {
+      carry = std::max(carry, x[j]);
+      cur[static_cast<std::size_t>(t0 + j)] = carry;
     }
-    return n + below_c + 2.0 * scanned + depth;
   }
-  // Two-pointer kernels: one carry merge per lifespan, ~2 probes per scanned
-  // lifespan (amortized advance + stop peek), plus the block's one-off seed
-  // search for k(lo − c).
-  const double seed =
-      std::log2(std::max(2.0, static_cast<double>(lo - c)));
-  return n + 2.0 * scanned + seed;
-}
-
-namespace {
-
-constexpr double kMinStepNs = 0.05;
-constexpr double kMaxStepNs = 25.0;
-
-struct CalibrationState {
-  std::mutex mu;
-  ScanCalibration cal;  // generation == 0 → never measured
-};
-
-CalibrationState& calibration_state() {
-  static CalibrationState state;
-  return state;
-}
-
-/// Times the given kernel over a synthetic 1-Lipschitz table (best of three
-/// runs) and converts to per-probe cost via the same step model
-/// plan_wavefront uses. The clamp bounds the damage a pathological
-/// measurement (TSan, debugger, load spike) can do: a poisoned value can
-/// bias the engagement margin, never destroy it — and recalibrate_scan_cost
-/// lets callers repair even that.
-ScanCalibration measure_scan_cost(SolverKernel kernel, std::uint64_t generation) {
-  constexpr Ticks kN = 1 << 14;
-  constexpr Ticks kC = 64;
-  std::vector<Ticks> prev(static_cast<std::size_t>(kN) + 1);
-  std::vector<Ticks> cur(static_cast<std::size_t>(kN) + 1, 0);
-  for (Ticks l = 0; l <= kN; ++l) {
-    prev[static_cast<std::size_t>(l)] = positive_sub(l, kC);
-  }
-  double best_ns = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    std::fill(cur.begin(), cur.end(), 0);
-    const auto start = std::chrono::steady_clock::now();
-    run_fill_kernel(kernel, cur, prev, 1, kN + 1, kC);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    best_ns = std::min(
-        best_ns,
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
-    volatile Ticks sink = cur[static_cast<std::size_t>(kN)];
-    (void)sink;
-  }
-  const double steps = modeled_scan_steps(kernel, kC, 1, kN + 1);
-  const double raw = best_ns / std::max(1.0, steps);
-  ScanCalibration cal;
-  cal.kernel = kernel;
-  cal.generation = generation;
-  if (raw < kMinStepNs) {
-    cal.step_ns = kMinStepNs;
-    cal.source = "clamped-low";
-  } else if (raw > kMaxStepNs) {
-    cal.step_ns = kMaxStepNs;
-    cal.source = "clamped-high";
-  } else {
-    cal.step_ns = raw;
-    cal.source = "measured";
-  }
-  return cal;
-}
-
-}  // namespace
-
-ScanCalibration scan_calibration() {
-  const SolverKernel kernel = active_solver_kernel();
-  CalibrationState& state = calibration_state();
-  std::lock_guard<std::mutex> lock(state.mu);
-  if (state.cal.generation == 0 || state.cal.kernel != kernel) {
-    state.cal = measure_scan_cost(kernel, state.cal.generation + 1);
-  }
-  return state.cal;
-}
-
-ScanCalibration recalibrate_scan_cost() {
-  const SolverKernel kernel = active_solver_kernel();
-  CalibrationState& state = calibration_state();
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.cal = measure_scan_cost(kernel, state.cal.generation + 1);
-  return state.cal;
 }
 
 WavefrontPlan plan_wavefront(int max_p, Ticks max_lifespan, const Params& params,
@@ -359,51 +131,28 @@ WavefrontPlan plan_wavefront(int max_p, Ticks max_lifespan, const Params& params
   plan.width = static_cast<int>(std::min<std::size_t>(
       {static_cast<std::size_t>(std::max(max_p, 0)), pool_threads, hw}));
 
-  auto finish = [&plan](const char* why) -> WavefrontPlan& {
-    plan.reason = why;
-    if (plan.calibration.generation != 0) {
-      plan.reason += std::string(" [scan-step ") + plan.calibration.source +
-                     ", kernel " + solver_kernel_name(plan.calibration.kernel) +
-                     "]";
-    }
-    return plan;
-  };
-
   if (pool == nullptr) {
-    return finish("no pool");
-  }
-  plan.dispatch_ns = pool->dispatch_overhead_ns();
-  plan.calibration = scan_calibration();
-  const double level_steps =
-      modeled_scan_steps(plan.calibration.kernel, c, 1, max_lifespan + 1);
-  plan.cell_ns_estimate =
-      plan.calibration.step_ns * level_steps /
-      static_cast<double>(std::max<std::size_t>(1, plan.num_blocks));
-  if (plan.width < 2) {
+    plan.reason = "no pool";
+  } else if (plan.width < 2) {
     // Fewer than two cells can ever run concurrently (single level, single
     // pool thread, or a 1-core machine) — the wavefront can only lose.
-    return finish("DAG width < 2");
+    plan.reason = "DAG width < 2";
+  } else if (plan.num_blocks < 3) {
+    plan.reason = "too few blocks to fill the pipeline";
+  } else if (c < kWavefrontMinC) {
+    plan.reason = "c below the measured wavefront crossover (" +
+                  std::to_string(kWavefrontMinC) + ")";
+  } else {
+    plan.engage = true;
+    plan.reason = "engaged";
   }
-  if (plan.num_blocks < 3) {
-    return finish("too few blocks to fill the pipeline");
-  }
-  // Engage only when a cell's own work clearly amortizes its dispatch. The
-  // margin covers model error and the pipeline's fill/drain slack; at the
-  // margin the wavefront is near break-even, comfortably past it the win
-  // approaches the width.
-  constexpr double kEngageMargin = 8.0;
-  if (plan.cell_ns_estimate < kEngageMargin * plan.dispatch_ns) {
-    return finish("cell work does not amortize dispatch overhead");
-  }
-  plan.engage = true;
-  return finish("engaged");
+  return plan;
 }
 
 ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params,
                       util::ThreadPool* pool, ParallelMode mode) {
   ValueTable table(max_p, max_lifespan, params);
   const Ticks c = params.c;
-  const SolverKernel kernel = active_solver_kernel();
 
   auto level0 = table.mutable_level(0);
   for (Ticks l = 0; l <= max_lifespan; ++l) {
@@ -418,14 +167,13 @@ ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params,
       wavefront = pool != nullptr && max_p >= 1 && max_lifespan >= 1;
       break;
     case ParallelMode::kAuto:
-      wavefront = max_p >= 1 && max_lifespan >= 1 &&
-                  plan_wavefront(max_p, max_lifespan, params, pool).engage;
+      wavefront = plan_wavefront(max_p, max_lifespan, params, pool).engage;
       break;
   }
 
   if (!wavefront) {
     for (int p = 1; p <= max_p; ++p) {
-      run_fill_kernel(kernel, table.mutable_level(p), table.level(p - 1), 1,
+      run_fill_kernel(table.mutable_level(p), table.level(p - 1), 1,
                       max_lifespan + 1, c);
     }
     return table;
@@ -437,9 +185,9 @@ ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params,
   //   * prev = level p−1 at the same indices                → cells (p−1, <b),
   // so its only direct dependencies are (p, b−1) and (p−1, b−1); everything
   // earlier follows transitively along those chains. (The two-phase kernel
-  // keeps this contract — see fill_kernel.h "Read bounds".) Level 0 and
-  // every level's l = 0 entry are final before the graph starts (filled
-  // above / zero-initialized). One task per cell, zero barriers.
+  // keeps this contract — see "Read bounds" above.) Level 0 and every
+  // level's l = 0 entry are final before the graph starts (filled above /
+  // zero-initialized). One task per cell, zero barriers.
   const std::size_t num_blocks =
       static_cast<std::size_t>((max_lifespan + c - 1) / c);
   util::TaskGraph graph;
@@ -452,8 +200,8 @@ ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params,
     for (std::size_t b = 0; b < num_blocks; ++b) {
       const Ticks lo = 1 + static_cast<Ticks>(b) * c;
       const Ticks hi = std::min(max_lifespan + 1, lo + c);
-      const util::TaskGraph::TaskId id = graph.add_task([kernel, cur, prev, lo, hi, c] {
-        run_fill_kernel(kernel, cur, prev, lo, hi, c);
+      const util::TaskGraph::TaskId id = graph.add_task([cur, prev, lo, hi, c] {
+        run_fill_kernel(cur, prev, lo, hi, c);
       });
       assert(id == cell_id(p, b));
       (void)id;

@@ -1,5 +1,4 @@
-// Crossover solver for W(p)[L] — O(P·N) two-pointer/SIMD kernel with an
-// O(P·N·log N) legacy kernel kept as an in-tree reference.
+// Crossover solver for W(p)[L] — O(P·N) two-pointer level-fill kernel.
 //
 // For t in [c, L] write
 //   A(t) = (t − c) + V_p(L − t)   — non-decreasing in t (V_p is 1-Lipschitz),
@@ -10,20 +9,20 @@
 // period), so
 //   V_p(L) = max( V_p(L − 1),  max_{t in [c, L]} min(A, B) ).
 //
-// The production kernels exploit that the crossover index is monotone in L,
-// replacing the per-lifespan binary search with an amortized O(1) advance
-// and a vectorizable blocked two-phase scan (crossover pass + prefix-max
-// carry merge) — the derivation and exactness argument live in
-// solver/fill_kernel.h, the ISA selection rules below. All kernels are
-// bit-identical by construction and cross-checked by
-// tests/solver_simd_kernel_test.cpp and the conformance fuzzer.
+// The kernel exploits that the crossover index is monotone in L, replacing
+// a per-lifespan binary search with an amortized O(1) advance inside a
+// blocked two-phase scan (crossover pass + prefix-max carry merge) — the
+// derivation and exactness argument live beside the kernel in
+// fast_solver.cpp. tests/solver_fill_kernel_test.cpp diffs it against a
+// binary-search oracle; the conformance fuzzer diffs whole solves against
+// solve_reference.
 //
 // Parallel structure: cut every level into blocks of c consecutive
 // lifespans. Within a block the crossover scans read V_p only at indices
 // l − t <= l − c, i.e. strictly below the block start, and V_{p−1} at the
 // same indices — so cell (p, b) of the (level, block) grid depends on
 // exactly two cells: (p, b−1) for the carry and its own level's earlier
-// values, and (p−1, b−1) for the previous level's values. solve_fast runs
+// values, and (p−1, b−1) for the previous level's values. solve_fast can run
 // the whole grid as one task-graph wavefront on util::ThreadPool::run_dag —
 // no barrier anywhere; after a one-block pipeline fill, all max_p levels
 // advance concurrently. DESIGN.md "Parallel solver architecture" has the
@@ -31,142 +30,49 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "solver/value_table.h"
 #include "util/thread_pool.h"
 
 namespace nowsched::solver {
 
-/// The level-fill kernels compiled into the library. All produce
-/// bit-identical tables; they differ only in speed.
-enum class SolverKernel {
-  kLegacy,  ///< per-lifespan binary search (pre-SIMD kernel, kept as the
-            ///< in-tree reference and the E10 speedup baseline)
-  kScalar,  ///< two-pointer two-phase scan, width-1 lanes (every platform)
-  kAvx2,    ///< two-phase scan on 4 × int64 AVX2 lanes (x86-64, runtime-gated)
-  kNeon,    ///< two-phase scan on 2 × int64 AdvSIMD lanes (AArch64)
-};
-
-/// Stable lower-case name ("legacy", "scalar", "avx2", "neon") — the
-/// vocabulary of NOWSCHED_KERNEL and of bench/DESIGN reporting.
-const char* solver_kernel_name(SolverKernel kernel) noexcept;
-
-/// Inverse of solver_kernel_name; nullopt for anything else.
-std::optional<SolverKernel> solver_kernel_from_name(std::string_view name) noexcept;
-
-/// True when `kernel` is both compiled into this binary and runnable on the
-/// current CPU. kLegacy and kScalar are always supported.
-bool solver_kernel_supported(SolverKernel kernel) noexcept;
-
-/// Every supported kernel, in preference order (fastest first).
-std::vector<SolverKernel> supported_solver_kernels();
-
-/// The kernel solve_fast will use right now. Resolution order:
-///   1. a force_solver_kernel() override (tests/benches),
-///   2. NOWSCHED_KERNEL ("legacy" | "scalar" | "avx2" | "neon" | "auto"),
-///      read once per process; malformed or unsupported values warn once on
-///      stderr and fall through to auto,
-///   3. auto: the fastest supported SIMD kernel, else scalar. Never legacy.
-SolverKernel active_solver_kernel();
-
-/// Pins active_solver_kernel() to `kernel` until clear_forced_solver_kernel.
-/// Throws std::invalid_argument if the kernel is not supported here. Not
-/// synchronized against concurrent solves — flip it only between solves.
-void force_solver_kernel(SolverKernel kernel);
-void clear_forced_solver_kernel() noexcept;
-
-/// Parses a NOWSCHED_KERNEL-style value. Returns the kernel to pin, or
-/// nullopt for "auto"/unset, leaving *warning empty; on a malformed or
-/// unsupported value returns nullopt and stores a one-line diagnostic in
-/// *warning. Exposed for tests; active_solver_kernel() applies it to the
-/// real environment variable.
-std::optional<SolverKernel> solver_kernel_from_env_value(const char* value,
-                                                         std::string* warning);
-
-/// Runs one level-fill over lifespans [lo, hi) with an explicit kernel:
+/// Runs one level-fill over lifespans [lo, hi):
 ///   cur[l] = max( crossover_best(l), cur[l − 1] )   for l in [lo, hi).
 /// Requires 1 <= lo <= hi <= max index + 1 and cur/prev final below lo (the
-/// same contract the wavefront cells rely on). When `scan_steps` is non-null
-/// the kernel's probe count is accumulated into it — the deterministic
-/// quantity the cost model predicts (see modeled_scan_steps). Exposed for
-/// the differential battery and the calibration path; solve_fast dispatches
-/// through it.
-void run_fill_kernel(SolverKernel kernel, std::span<Ticks> cur,
-                     std::span<const Ticks> prev, Ticks lo, Ticks hi, Ticks c,
-                     std::size_t* scan_steps = nullptr);
-
-/// Modeled probe count for one run_fill_kernel(kernel, …, lo, hi, c) call.
-///   kLegacy:     lifespans with l < c cost O(1); the rest binary-search
-///                [c, l], ~log2(l − c) probes each — summed in closed form
-///                (NOT the old kN·log2(kN) model, which overstated the
-///                depth of every scan by using the table size for the
-///                search range).
-///   two-pointer: amortized-constant probes per lifespan.
-/// Pinned against measured counts by tests/solver_simd_kernel_test.cpp.
-double modeled_scan_steps(SolverKernel kernel, Ticks c, Ticks lo, Ticks hi);
-
-/// One calibrated scan-step cost, tagged with the kernel it was measured
-/// under and how trustworthy the number is.
-struct ScanCalibration {
-  SolverKernel kernel = SolverKernel::kScalar;
-  double step_ns = 0.0;
-  /// "measured", or "clamped-low"/"clamped-high" when the raw measurement
-  /// fell outside the plausible range for one probe (e.g. under TSan, a
-  /// debugger, or heavy load) and was clamped to the nearest bound.
-  const char* source = "unmeasured";
-  /// Bumped on every (re)measurement — lets tests assert recalibration
-  /// actually happened.
-  std::uint64_t generation = 0;
-};
-
-/// The current calibration for the active kernel. Measured lazily on first
-/// use and re-measured automatically whenever the active kernel changes;
-/// cached otherwise. Thread-safe.
-ScanCalibration scan_calibration();
-
-/// Throws away the cached calibration and measures afresh (benches call
-/// this after warm-up; tests after forcing a kernel). Returns the new
-/// calibration. Thread-safe.
-ScanCalibration recalibrate_scan_cost();
+/// same contract the wavefront cells rely on). Exposed for the differential
+/// battery and E10's fill-only timing; solve_fast runs every level (or
+/// every wavefront cell) through it.
+void run_fill_kernel(std::span<Ticks> cur, std::span<const Ticks> prev,
+                     Ticks lo, Ticks hi, Ticks c);
 
 /// How solve_fast decides between the sequential and the wavefront path.
 enum class ParallelMode {
-  kAuto,            ///< engage the wavefront iff plan_wavefront() says it pays
+  kAuto,            ///< engage the wavefront iff plan_wavefront() says so
   kForceWavefront,  ///< always take the wavefront path (tests/benches); falls
                     ///< back to sequential only when `pool` is null
   kForceSequential, ///< never parallelize, even with a pool
 };
 
-/// The engagement decision for a prospective wavefront run, with the
-/// calibrated quantities that produced it — benches report these, and the
-/// ROADMAP's crossover notes are written from them.
+/// Smallest setup cost c for which the auto mode engages the wavefront: a
+/// block is c lifespans wide, so c sets the work per task. 512 is the
+/// `wavefront_crossover_c` E10 measured on a 4-thread AVX2 host.
+inline constexpr Ticks kWavefrontMinC = 512;
+
+/// The engagement decision for a prospective wavefront run.
 struct WavefrontPlan {
   bool engage = false;
-  std::size_t num_blocks = 0;    ///< ceil(max_lifespan / c) blocks per level
-  int width = 0;                 ///< max concurrent cells:
-                                 ///< min(max_p, pool size, hardware threads)
-  double cell_ns_estimate = 0.0; ///< modeled cost of one (p, block) cell
-  double dispatch_ns = 0.0;      ///< measured per-task overhead of `pool`
-  ScanCalibration calibration;   ///< the scan-step calibration the estimate
-                                 ///< was built from (kernel + source)
-  std::string reason;            ///< one-line why (engaged or declined),
-                                 ///< including the calibration source
+  std::size_t num_blocks = 0;  ///< ceil(max_lifespan / c) blocks per level
+  int width = 0;               ///< max concurrent cells:
+                               ///< min(max_p, pool size, hardware threads)
+  std::string reason;          ///< one-line why (engaged or declined)
 };
 
-/// Decides whether the wavefront path is expected to beat sequential on this
-/// grid with this pool. Auto-calibrated, not hardcoded: the per-cell work is
-/// modeled from the active kernel's calibrated scan-step cost (see
-/// scan_calibration — clamped, kernel-tagged, recalibratable) and compared
-/// against the pool's measured per-task dispatch overhead
-/// (util::ThreadPool::dispatch_overhead_ns); the DAG width min(max_p, pool,
-/// hardware) must also be >= 2 — on a 1-core machine the plan therefore
-/// never engages, which is the correct answer there.
+/// The static engagement rule: engage iff `pool` is non-null, width >= 2,
+/// num_blocks >= 3 and c >= kWavefrontMinC. Pure — no timing, so the same
+/// grid and pool size always get the same answer. On a 1-core machine the
+/// width is 1 and the plan never engages.
 WavefrontPlan plan_wavefront(int max_p, Ticks max_lifespan, const Params& params,
                              util::ThreadPool* pool);
 
@@ -177,8 +83,7 @@ WavefrontPlan plan_wavefront(int max_p, Ticks max_lifespan, const Params& params
 /// run_dag calls — solve_fast returns with the table complete and all
 /// worker writes visible to the caller (see util/thread_pool.h for the
 /// happens-before contract). Do not call from inside a task running on the
-/// same pool. The level-fill kernel is resolved once per call via
-/// active_solver_kernel(); every kernel yields a bit-identical table.
+/// same pool. Both paths yield a bit-identical table.
 ValueTable solve_fast(int max_p, Ticks max_lifespan, const Params& params,
                       util::ThreadPool* pool = nullptr,
                       ParallelMode mode = ParallelMode::kAuto);

@@ -306,10 +306,6 @@ bool MappedTableStore::store(const SolveKey& key,
   const FileHeader header = make_header(
       key, slab_bytes, util::checksum_bytes(slab.data(), slab_bytes));
 
-  std::vector<unsigned char> payload(sizeof(FileHeader) + slab_bytes);
-  std::memcpy(payload.data(), &header, sizeof(header));
-  std::memcpy(payload.data() + sizeof(FileHeader), slab.data(), slab_bytes);
-
   // Process-unique temp tag: two processes (or two tenant caches in one
   // process) racing a spill must not share a temp file, or interleaved
   // writes could publish garbage through a valid rename.
@@ -320,7 +316,8 @@ bool MappedTableStore::store(const SolveKey& key,
       std::to_string(static_cast<unsigned long>(::getpid())) +
 #endif
       "." + std::to_string(write_tag_.fetch_add(1, std::memory_order_relaxed));
-  if (!util::atomic_write_file(path, payload.data(), payload.size(), tag)) {
+  if (!util::atomic_write_file(path, &header, sizeof(header), slab.data(),
+                               slab_bytes, tag)) {
     return false;
   }
   stores_.fetch_add(1, std::memory_order_relaxed);

@@ -6,27 +6,29 @@
 namespace nowsched::solver {
 
 ValueTable::ValueTable(int max_p, Ticks max_lifespan, const Params& params)
+    : ValueTable(max_p, max_lifespan, params, NoStorage{}) {
+  owned_.assign(entries(), 0);
+}
+
+ValueTable::ValueTable(int max_p, Ticks max_lifespan, const Params& params,
+                       NoStorage)
     : max_p_(max_p), max_l_(max_lifespan), params_(params) {
   require_valid(params);
   if (max_p < 0) throw std::invalid_argument("ValueTable: max_p must be >= 0");
   if (max_lifespan < 0) throw std::invalid_argument("ValueTable: max_lifespan >= 0");
-  owned_.assign(entries(), 0);
 }
 
 ValueTable ValueTable::view(int max_p, Ticks max_lifespan, const Params& params,
                             std::span<const Ticks> slab,
                             std::shared_ptr<const void> keepalive) {
-  // Delegate dimension validation (and zero-fill of a throwaway 1-element
-  // minimum slab for degenerate dims) to the owning constructor, then swap
-  // the storage out for the external span.
-  ValueTable table(max_p, max_lifespan, params);
+  // Validate the dimensions without allocating: a view never owns storage,
+  // so loading a stored table costs no slab-sized allocation and zero-fill.
+  ValueTable table(max_p, max_lifespan, params, NoStorage{});
   if (slab.size() != table.entries()) {
     throw std::invalid_argument(
         "ValueTable::view: slab has " + std::to_string(slab.size()) +
         " entries, dims require " + std::to_string(table.entries()));
   }
-  table.owned_.clear();
-  table.owned_.shrink_to_fit();
   table.view_data_ = slab.data();
   table.keepalive_ = std::move(keepalive);
   return table;

@@ -13,7 +13,7 @@
 //   V_p(L) = max_{1<=t<=L} min( (t ⊖ c) + V_p(L−t),  V_{p−1}(L−t) )
 //
 // Values are exact integers; `solve_reference` is the O(P·N²) oracle and
-// `solve_fast` the O(P·N·log N) production solver (they agree bit-for-bit;
+// `solve_fast` the O(P·N) production solver (they agree bit-for-bit;
 // see tests/solver_cross_check_test.cpp).
 //
 // Storage is one contiguous slab of (max_p+1) × (max_lifespan+1) Ticks in
@@ -36,45 +36,12 @@
 
 #include <cstddef>
 #include <memory>
-#include <new>
 #include <span>
 #include <vector>
 
 #include "core/types.h"
 
 namespace nowsched::solver {
-
-/// Alignment of every owning slab. 64 bytes = one cache line = two full
-/// AVX2 vectors of Ticks, so the SIMD kernels' full-width level accesses
-/// never straddle a line and the level stride keeps whatever alignment the
-/// base has. (Mapped-store views are page-aligned by mmap, which is
-/// stricter.)
-inline constexpr std::size_t kSlabAlignment = 64;
-
-/// Minimal aligned allocator for the slab vector. Stateless: all instances
-/// are interchangeable, so vector moves/swaps behave exactly as with
-/// std::allocator.
-template <class T>
-struct SlabAllocator {
-  using value_type = T;
-  SlabAllocator() = default;
-  template <class U>
-  SlabAllocator(const SlabAllocator<U>&) noexcept {}
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{kSlabAlignment}));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    ::operator delete(p, n * sizeof(T), std::align_val_t{kSlabAlignment});
-  }
-  template <class U>
-  friend bool operator==(const SlabAllocator&, const SlabAllocator<U>&) noexcept {
-    return true;
-  }
-};
-
-/// The owning storage type for a level-major table slab.
-using TableSlab = std::vector<Ticks, SlabAllocator<Ticks>>;
 
 class ValueTable {
  public:
@@ -129,6 +96,10 @@ class ValueTable {
   std::span<Ticks> mutable_level(int p);
 
  private:
+  /// Validates the dimensions and allocates nothing (the view path).
+  struct NoStorage {};
+  ValueTable(int max_p, Ticks max_lifespan, const Params& params, NoStorage);
+
   std::size_t stride() const noexcept { return static_cast<std::size_t>(max_l_) + 1; }
   std::size_t entries() const noexcept {
     return (static_cast<std::size_t>(max_p_) + 1) * stride();
@@ -143,8 +114,7 @@ class ValueTable {
   int max_p_;
   Ticks max_l_;
   Params params_;
-  TableSlab owned_;                  // level-major: data()[p * stride() + L],
-                                     // kSlabAlignment-aligned base
+  std::vector<Ticks> owned_;         // level-major: data()[p * stride() + L]
   const Ticks* view_data_ = nullptr; // non-null IFF this is a view
   std::shared_ptr<const void> keepalive_;  // pins a view's backing storage
 };

@@ -28,8 +28,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 
 #if defined(_WIN32)
 #include <fstream>
@@ -139,22 +141,27 @@ class MappedFile {
 #endif
 };
 
-/// Publishes `size` bytes at `path` atomically: the payload is written to a
-/// sibling temp file (same directory, so rename cannot cross filesystems)
+/// Publishes `head` followed by `body` at `path` atomically: the payload is
+/// written to a sibling temp file (same directory, so rename cannot cross filesystems)
 /// and renamed over the target. Returns false — leaving the target
 /// untouched — on any I/O failure. `tag` disambiguates concurrent writers'
 /// temp names (pass something process/thread-unique); the renames
 /// themselves need no coordination because each is atomic and every writer
 /// publishes identical complete content or none.
-inline bool atomic_write_file(const std::string& path, const void* data,
-                              std::size_t size, const std::string& tag) {
+/// Two pieces, so a caller publishing a header plus a large slab need not
+/// first copy both into one buffer (`body` may be empty).
+inline bool atomic_write_file(const std::string& path, const void* head,
+                              std::size_t head_size, const void* body,
+                              std::size_t body_size, const std::string& tag) {
   const std::string tmp = path + ".tmp." + tag;
 #if defined(_WIN32)
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return false;
-    out.write(static_cast<const char*>(data),
-              static_cast<std::streamsize>(size));
+    out.write(static_cast<const char*>(head),
+              static_cast<std::streamsize>(head_size));
+    out.write(static_cast<const char*>(body),
+              static_cast<std::streamsize>(body_size));
     if (!out.good()) {
       out.close();
       std::remove(tmp.c_str());
@@ -173,16 +180,19 @@ inline bool atomic_write_file(const std::string& path, const void* data,
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return false;
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  std::size_t written = 0;
-  while (written < size) {
-    const ::ssize_t n = ::write(fd, bytes + written, size - written);
-    if (n < 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
+  for (const auto& [data, size] :
+       {std::pair{head, head_size}, std::pair{body, body_size}}) {
+    const unsigned char* bytes = static_cast<const unsigned char*>(data);
+    std::size_t written = 0;
+    while (written < size) {
+      const ::ssize_t n = ::write(fd, bytes + written, size - written);
+      if (n < 0) {
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return false;
+      }
+      written += static_cast<std::size_t>(n);
     }
-    written += static_cast<std::size_t>(n);
   }
   // Flush payload before publishing the name: after a crash the target is
   // either absent or complete, never garbage with a valid-looking header.

@@ -1,38 +1,8 @@
-// Portable SIMD wrapper for the solver's level-scan kernel.
-//
-// The kernel needs exactly one shape: small fixed-width vectors of int64
-// lanes (Ticks) with loads/stores, broadcast, add/sub, elementwise max,
-// ordered compares reduced to a leading-lane count, an in-register prefix
-// max, and a last-lane extract. Each ISA backend is a stateless traits
-// struct over that vocabulary, so the kernel template in
-// solver/fill_kernel.h instantiates once per ISA and the instantiations are
-// textually identical code — the bit-for-bit SIMD-vs-scalar guarantee is
-// structural, not a hope.
-//
-// Compile-time vs run-time split:
-//   * A traits struct is only DEFINED in translation units whose target ISA
-//     enables it (__AVX2__ / __aarch64__) — the AVX2 backend lives in
-//     solver/fast_solver_avx2.cpp, compiled with -mavx2 even in a
-//     baseline-ISA build.
-//   * The cpu_supports_*() queries below compile everywhere and answer at
-//     run time, so the dispatcher in fast_solver.cpp can select a kernel
-//     the *build host* could not run. Dispatch policy lives there, not here.
-//
-// Scalar fallback: I64Scalar implements the same vocabulary with kLanes=1
-// plain arithmetic, so every platform has a correct kernel and the
-// differential tests always have a reference instantiation to diff against.
+// Run-time CPU feature probes. Benches stamp their records with a host class
+// ("4t-avx2", "1t-neon", ...) built from these, so timing ratios are only
+// compared between machines of the same class. The library itself carries
+// no ISA-specific code paths.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <limits>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
 
 namespace nowsched::util::simd {
 
@@ -54,117 +24,5 @@ inline bool cpu_supports_neon() noexcept {
   return false;
 #endif
 }
-
-/// Width-1 "vector" of int64 — the scalar instantiation of the kernel.
-struct I64Scalar {
-  static constexpr int kLanes = 1;
-  using Reg = std::int64_t;
-  static Reg load(const std::int64_t* p) noexcept { return *p; }
-  static void store(std::int64_t* p, Reg v) noexcept { *p = v; }
-  static Reg set1(std::int64_t x) noexcept { return x; }
-  static Reg add(Reg a, Reg b) noexcept { return a + b; }
-  static Reg sub(Reg a, Reg b) noexcept { return a - b; }
-  static Reg max(Reg a, Reg b) noexcept { return a > b ? a : b; }
-  /// Lane indices 0..kLanes-1 as a vector.
-  static Reg iota() noexcept { return 0; }
-  /// Running max from lane 0 upward (lane i = max of lanes 0..i).
-  static Reg prefix_max(Reg v) noexcept { return v; }
-  static std::int64_t last_lane(Reg v) noexcept { return v; }
-  /// Number of LEADING lanes with value <= bound. Callers only use this on
-  /// lane-wise non-decreasing data, where the <=bound lanes form a prefix.
-  static int leading_le(Reg v, std::int64_t bound) noexcept {
-    return v <= bound ? 1 : 0;
-  }
-  /// Number of lanes strictly below bound (any position).
-  static int count_lt(Reg v, std::int64_t bound) noexcept {
-    return v < bound ? 1 : 0;
-  }
-};
-
-#if defined(__AVX2__)
-/// 4 x int64 on AVX2. Unaligned loads are used throughout — the ValueTable
-/// slab is 64-byte aligned so full-vector accesses never split a cacheline,
-/// but the kernel also reads at data-dependent offsets (crossover probes)
-/// that carry no alignment guarantee.
-struct I64x4Avx2 {
-  static constexpr int kLanes = 4;
-  using Reg = __m256i;
-  static Reg load(const std::int64_t* p) noexcept {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void store(std::int64_t* p, Reg v) noexcept {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  static Reg set1(std::int64_t x) noexcept { return _mm256_set1_epi64x(x); }
-  static Reg add(Reg a, Reg b) noexcept { return _mm256_add_epi64(a, b); }
-  static Reg sub(Reg a, Reg b) noexcept { return _mm256_sub_epi64(a, b); }
-  static Reg max(Reg a, Reg b) noexcept {
-    // AVX2 has no 64-bit integer max; synthesize from signed compare+blend.
-    return _mm256_blendv_epi8(b, a, _mm256_cmpgt_epi64(a, b));
-  }
-  static Reg iota() noexcept { return _mm256_set_epi64x(3, 2, 1, 0); }
-  static Reg prefix_max(Reg v) noexcept {
-    const Reg lowest = set1(std::numeric_limits<std::int64_t>::min());
-    // y = max(v, [MIN, v0, v1, v2])
-    Reg s1 = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(2, 1, 0, 0));
-    s1 = _mm256_blend_epi32(s1, lowest, 0x03);  // lane 0 <- MIN
-    const Reg y = max(v, s1);
-    // result = max(y, [MIN, MIN, y0, y1])
-    Reg s2 = _mm256_permute4x64_epi64(y, _MM_SHUFFLE(1, 0, 0, 0));
-    s2 = _mm256_blend_epi32(s2, lowest, 0x0F);  // lanes 0,1 <- MIN
-    return max(y, s2);
-  }
-  static std::int64_t last_lane(Reg v) noexcept {
-    return _mm256_extract_epi64(v, 3);
-  }
-  static int leading_le(Reg v, std::int64_t bound) noexcept {
-    const __m256i gt = _mm256_cmpgt_epi64(v, set1(bound));
-    const unsigned mask =
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(gt)));
-    return mask == 0 ? 4 : __builtin_ctz(mask);
-  }
-  static int count_lt(Reg v, std::int64_t bound) noexcept {
-    const __m256i lt = _mm256_cmpgt_epi64(set1(bound), v);
-    return __builtin_popcount(
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(lt))));
-  }
-};
-#endif  // __AVX2__
-
-#if defined(__aarch64__)
-/// 2 x int64 on AArch64 AdvSIMD.
-struct I64x2Neon {
-  static constexpr int kLanes = 2;
-  using Reg = int64x2_t;
-  static Reg load(const std::int64_t* p) noexcept { return vld1q_s64(p); }
-  static void store(std::int64_t* p, Reg v) noexcept { vst1q_s64(p, v); }
-  static Reg set1(std::int64_t x) noexcept { return vdupq_n_s64(x); }
-  static Reg add(Reg a, Reg b) noexcept { return vaddq_s64(a, b); }
-  static Reg sub(Reg a, Reg b) noexcept { return vsubq_s64(a, b); }
-  static Reg max(Reg a, Reg b) noexcept {
-    // No 64-bit integer max instruction; compare-and-select.
-    return vbslq_s64(vcgtq_s64(a, b), a, b);
-  }
-  static Reg iota() noexcept {
-    const std::int64_t lanes[2] = {0, 1};
-    return vld1q_s64(lanes);
-  }
-  static Reg prefix_max(Reg v) noexcept {
-    const Reg lowest = set1(std::numeric_limits<std::int64_t>::min());
-    return max(v, vextq_s64(lowest, v, 1));  // [MIN, v0]
-  }
-  static std::int64_t last_lane(Reg v) noexcept { return vgetq_lane_s64(v, 1); }
-  static int leading_le(Reg v, std::int64_t bound) noexcept {
-    const uint64x2_t gt = vcgtq_s64(v, set1(bound));
-    if (vgetq_lane_u64(gt, 0) != 0) return 0;
-    return vgetq_lane_u64(gt, 1) != 0 ? 1 : 2;
-  }
-  static int count_lt(Reg v, std::int64_t bound) noexcept {
-    const uint64x2_t lt = vcgtq_s64(set1(bound), v);
-    return (vgetq_lane_u64(lt, 0) != 0 ? 1 : 0) +
-           (vgetq_lane_u64(lt, 1) != 0 ? 1 : 0);
-  }
-};
-#endif  // __aarch64__
 
 }  // namespace nowsched::util::simd

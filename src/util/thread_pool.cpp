@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -273,29 +272,6 @@ void ThreadPool::run_dag(TaskGraph& graph) {
   }
   state.latch.wait();
   if (state.error) std::rethrow_exception(state.error);
-}
-
-double ThreadPool::dispatch_overhead_ns() {
-  if (dispatch_overhead_ns_ >= 0.0) return dispatch_overhead_ns_;
-  // One chain + fan-out of no-op cells, shaped like a small solver wavefront,
-  // timed wall-clock and amortized per task. Done once per pool; the result
-  // is intentionally pessimistic on a loaded machine — engagement should err
-  // toward the always-correct sequential path.
-  constexpr std::size_t kTasks = 256;
-  TaskGraph g;
-  for (std::size_t i = 0; i < kTasks; ++i) g.add_task([] {});
-  for (std::size_t i = 1; i < kTasks; ++i) {
-    g.add_edge(i - 1, i);
-    if (i >= 4) g.add_edge(i - 4, i);
-  }
-  const auto start = std::chrono::steady_clock::now();
-  run_dag(g);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const double total_ns =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  dispatch_overhead_ns_ = std::max(1.0, total_ns / static_cast<double>(kTasks));
-  return dispatch_overhead_ns_;
 }
 
 std::size_t threads_from_env_value(const char* value, std::string* warning) {

@@ -118,14 +118,6 @@ class ThreadPool {
   /// reuse of a TaskGraph object after run_dag is undefined.
   void run_dag(TaskGraph& graph);
 
-  /// Measured per-task dispatch overhead of THIS pool in nanoseconds —
-  /// enqueue, wake, run-empty-task, completion accounting — sampled once
-  /// (lazily, on first call) by timing a batch of no-op tasks through
-  /// run_dag. The fast solver's engagement heuristic compares this against
-  /// its modeled per-block work so the parallel path is only taken when a
-  /// block amortizes its own dispatch (see solver::plan_wavefront).
-  double dispatch_overhead_ns();
-
  private:
   void enqueue(std::function<void()> task);
   void worker_loop();
@@ -135,7 +127,6 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
-  double dispatch_overhead_ns_ = -1.0;  // < 0 until first measured
 };
 
 /// Parses a NOWSCHED_THREADS-style value. Returns the thread count (0 means

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -89,43 +88,6 @@ CheckResult check_fast_vs_reference(const sim::ScenarioSpec& spec,
         os << "W(" << q << ")[" << l << "] fast=" << fv << " reference=" << rv
            << " (c=" << g.params.c << ")";
         return fail("fast-vs-reference", os.str());
-      }
-    }
-  }
-  return {};
-}
-
-CheckResult check_kernel_differential(const sim::ScenarioSpec& spec,
-                                      const Options& options) {
-  const ClampedContract g = clamp_contract(spec, options);
-  // Build the table level-by-level through run_fill_kernel for every
-  // supported kernel and demand bit-identity against the scalar build. No
-  // global kernel forcing: explicit dispatch keeps this check reentrant.
-  const std::size_t stride = static_cast<std::size_t>(g.l) + 1;
-  auto build = [&](solver::SolverKernel kernel) {
-    std::vector<Ticks> slab(static_cast<std::size_t>(g.p + 1) * stride, 0);
-    for (Ticks l = 0; l <= g.l; ++l) {
-      slab[static_cast<std::size_t>(l)] = positive_sub(l, g.params.c);
-    }
-    for (int q = 1; q <= g.p; ++q) {
-      const std::span<Ticks> whole(slab);
-      run_fill_kernel(kernel, whole.subspan(static_cast<std::size_t>(q) * stride, stride),
-                      whole.subspan(static_cast<std::size_t>(q - 1) * stride, stride),
-                      1, g.l + 1, g.params.c);
-    }
-    return slab;
-  };
-  const std::vector<Ticks> scalar = build(solver::SolverKernel::kScalar);
-  for (const solver::SolverKernel kernel : solver::supported_solver_kernels()) {
-    if (kernel == solver::SolverKernel::kScalar) continue;
-    const std::vector<Ticks> other = build(kernel);
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      if (other[i] != scalar[i]) {
-        std::ostringstream os;
-        os << "W(" << i / stride << ")[" << i % stride << "] "
-           << solver::solver_kernel_name(kernel) << "=" << other[i]
-           << " scalar=" << scalar[i] << " (c=" << g.params.c << ")";
-        return fail("kernel-differential", os.str());
       }
     }
   }
@@ -308,7 +270,6 @@ CheckResult check_checkpoint_restart(const sim::ScenarioSpec& spec,
 const std::vector<NamedCheck>& all_checks() {
   static const std::vector<NamedCheck> kChecks = {
       {"fast-vs-reference", check_fast_vs_reference},
-      {"kernel-differential", check_kernel_differential},
       {"policy-eval", check_policy_eval},
       {"bounds-sandwich", check_bounds_sandwich},
       {"monotonicity", check_monotonicity},

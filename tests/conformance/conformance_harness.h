@@ -5,9 +5,6 @@
 // The checks, per scenario:
 //   * fast-vs-reference   — solve_fast and the O(P·N²) oracle agree
 //                           bit-for-bit on the (clamped) contract grid;
-//   * kernel-differential — every supported level-fill kernel (legacy
-//                           binary search, scalar two-pointer, AVX2/NEON)
-//                           builds a bit-identical table on that grid;
 //   * policy-eval         — the independent fixed-policy evaluator scores
 //                           OptimalPolicy exactly at the table value, and
 //                           no guideline policy above it;

@@ -338,6 +338,34 @@ TEST(RpcProtocol, MalformedPayloadsThrowTypedErrors) {
   EXPECT_THROW(decode_cancel(ok + "extra=1\n"), std::invalid_argument);
 }
 
+TEST(RpcProtocol, NumbersMustBePlainDecimals) {
+  // A leading space, '+' or a sign on an unsigned field is malformed; " -1"
+  // once slipped past the sign guard and decoded as job 2^64 − 1.
+  for (const std::string id : {" -1", "-1", "+3", " 3", "\t3"}) {
+    EXPECT_THROW(decode_job_status("nowsched-job-status v1\njob_id=" + id + "\n"),
+                 std::invalid_argument)
+        << "'" << id << "'";
+    EXPECT_THROW(decode_cancel("nowsched-cancel v1\njob_id=" + id + "\n"),
+                 std::invalid_argument)
+        << "'" << id << "'";
+  }
+  EXPECT_THROW(decode_submit_reply("nowsched-submit-reply v1\nstatus= 0\n"),
+               std::invalid_argument);
+}
+
+TEST(RpcProtocol, OutOfIntWireCodesAreRejectedNotNarrowed) {
+  // 2^32 + 1 narrows to 1 under a plain int cast; it must draw the typed
+  // error instead of decoding as a valid status or state.
+  ASSERT_TRUE(service::submit_status_from_wire(1).has_value());
+  ASSERT_TRUE(service::job_state_from_wire(1).has_value());
+  EXPECT_THROW(decode_submit_reply("nowsched-submit-reply v1\nstatus=4294967297\n"),
+               std::invalid_argument);
+  EXPECT_THROW(decode_submit_reply("nowsched-submit-reply v1\nstatus=-4294967295\n"),
+               std::invalid_argument);
+  EXPECT_THROW(decode_job_status_reply("nowsched-job-status-reply v1\nstate=4294967297\n"),
+               std::invalid_argument);
+}
+
 TEST(RpcProtocol, AbsurdCountsAreRejectedBeforeAllocation) {
   // A correctly framed payload claiming 2^64-1 records must draw the typed
   // error, not a std::length_error/bad_alloc out of vector::reserve — those

@@ -2,6 +2,9 @@
 // serial or parallel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "solver/fast_solver.h"
 #include "solver/reference_solver.h"
 #include "util/thread_pool.h"
@@ -36,7 +39,7 @@ INSTANTIATE_TEST_SUITE_P(Grids, CrossCheck,
                                            GridCase{3, 512, 100}));
 
 TEST(CrossCheckParallel, ForcedWavefrontMatchesSerial) {
-  // Force the wavefront path regardless of what plan_wavefront would decide
+  // Force the wavefront path regardless of what plan_wavefront decides
   // and compare against the serial fast solver (itself validated against the
   // oracle above).
   util::ThreadPool pool(4);
@@ -125,32 +128,108 @@ TEST(CrossCheckParallel, SingleThreadWavefrontIsDeterministicallySequential) {
 
 TEST(CrossCheckParallel, AutoModeWithPoolMatchesReference) {
   // Whatever plan_wavefront decides on this machine, auto mode must be
-  // exact. (On a 1-core host the plan declines and this runs sequentially —
-  // still the right answer.)
+  // exact: c = 8 declines (below the crossover), c = 512 engages on any
+  // multicore host. (On a 1-core host both run sequentially — still the
+  // right answer.)
   util::ThreadPool pool(4);
-  const Params params{8};
-  const auto with_pool = solve_fast(2, 500, params, &pool);
-  const auto ref = solve_reference(2, 500, params);
-  for (Ticks l = 0; l <= 500; ++l) {
-    ASSERT_EQ(with_pool.value(2, l), ref.value(2, l));
+  for (const Ticks c : {Ticks{8}, Ticks{512}}) {
+    const Params params{c};
+    const Ticks n = 4 * c + 3;
+    const auto with_pool = solve_fast(2, n, params, &pool);
+    const auto ref = solve_reference(2, n, params);
+    ASSERT_TRUE(std::equal(with_pool.slab().begin(), with_pool.slab().end(),
+                           ref.slab().begin()))
+        << "c=" << c;
+  }
+}
+
+// The engagement rule is pure: pool given, width = min(max_p, pool, hardware)
+// >= 2, >= 3 blocks, and c >= kWavefrontMinC. Expected widths are computed
+// from hardware_concurrency, so these tests hold on 1-core and multicore
+// hosts alike.
+int expected_width(int max_p, const util::ThreadPool& pool) {
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return static_cast<int>(std::min<std::size_t>(
+      {static_cast<std::size_t>(max_p), pool.size(), hw}));
+}
+
+TEST(WavefrontPlan, StaticEngagementRule) {
+  util::ThreadPool pool(4);
+  const Ticks n = Ticks{1} << 14;
+  const bool wide = expected_width(3, pool) >= 2;
+  ASSERT_EQ(kWavefrontMinC, 512);
+
+  // c = 511 vs 512 on an otherwise engaging grid.
+  const WavefrontPlan below = plan_wavefront(3, n, Params{511}, &pool);
+  const WavefrontPlan at = plan_wavefront(3, n, Params{512}, &pool);
+  EXPECT_FALSE(below.engage);
+  EXPECT_FALSE(below.reason.empty());
+  EXPECT_EQ(at.engage, wide) << at.reason;
+  EXPECT_EQ(at.width, expected_width(3, pool));
+  EXPECT_EQ(at.num_blocks, 32u);
+  EXPECT_FALSE(at.reason.empty());
+
+  // No timing: the same inputs always give the same answer.
+  for (int i = 0; i < 3; ++i) {
+    const WavefrontPlan again = plan_wavefront(3, n, Params{512}, &pool);
+    EXPECT_EQ(again.engage, at.engage);
+    EXPECT_EQ(again.width, at.width);
+    EXPECT_EQ(again.num_blocks, at.num_blocks);
+    EXPECT_EQ(again.reason, at.reason);
+  }
+}
+
+TEST(WavefrontPlan, WidthIsMinOfLevelsPoolAndHardware) {
+  util::ThreadPool pool(4);
+  util::ThreadPool single(1);
+  const Ticks n = Ticks{1} << 14;
+
+  // Width 1: a single level, or a 1-thread pool, never engages.
+  const WavefrontPlan one_level = plan_wavefront(1, n, Params{1024}, &pool);
+  EXPECT_FALSE(one_level.engage);
+  EXPECT_EQ(one_level.width, 1);
+  EXPECT_FALSE(one_level.reason.empty());
+  const WavefrontPlan one_thread = plan_wavefront(3, n, Params{1024}, &single);
+  EXPECT_FALSE(one_thread.engage);
+  EXPECT_EQ(one_thread.width, 1);
+  EXPECT_FALSE(one_thread.reason.empty());
+
+  // Otherwise the narrowest of levels, pool threads and hardware threads.
+  for (const int max_p : {2, 3, 7}) {
+    const WavefrontPlan plan = plan_wavefront(max_p, n, Params{1024}, &pool);
+    EXPECT_EQ(plan.width, expected_width(max_p, pool)) << "max_p=" << max_p;
+    EXPECT_EQ(plan.engage, plan.width >= 2) << plan.reason;
   }
 }
 
 TEST(CrossCheckParallel, PlanWavefrontDeclinesDegenerateGrids) {
   util::ThreadPool pool(4);
-  // Single level: DAG width 1, parallelism impossible.
-  EXPECT_FALSE(plan_wavefront(1, 1 << 14, Params{256}, &pool).engage);
+  const bool wide = expected_width(3, pool) >= 2;
+
   // No pool.
-  EXPECT_FALSE(plan_wavefront(3, 1 << 14, Params{256}, nullptr).engage);
-  // Two blocks cannot fill a pipeline.
-  EXPECT_FALSE(plan_wavefront(3, 512, Params{256}, &pool).engage);
-  // Reasons are always set, and (once the plan got far enough to calibrate)
-  // name the scan-step calibration source.
-  EXPECT_FALSE(plan_wavefront(3, 1 << 14, Params{256}, nullptr).reason.empty());
-  const auto planned = plan_wavefront(3, 1 << 14, Params{256}, &pool);
-  EXPECT_NE(planned.reason.find("scan-step"), std::string::npos)
-      << planned.reason;
-  EXPECT_NE(planned.calibration.generation, 0u);
+  const WavefrontPlan no_pool =
+      plan_wavefront(3, Ticks{1} << 14, Params{1024}, nullptr);
+  EXPECT_FALSE(no_pool.engage);
+  EXPECT_EQ(no_pool.reason, "no pool");
+
+  // Fewer than 3 blocks cannot fill a pipeline: 2 × c lifespans declines,
+  // one lifespan more makes a third block.
+  const WavefrontPlan two_blocks =
+      plan_wavefront(3, 2 * 1024, Params{1024}, &pool);
+  EXPECT_FALSE(two_blocks.engage);
+  EXPECT_EQ(two_blocks.num_blocks, 2u);
+  EXPECT_FALSE(two_blocks.reason.empty());
+  const WavefrontPlan three_blocks =
+      plan_wavefront(3, 2 * 1024 + 1, Params{1024}, &pool);
+  EXPECT_EQ(three_blocks.num_blocks, 3u);
+  EXPECT_EQ(three_blocks.engage, wide) << three_blocks.reason;
+
+  // An empty lifespan range has no blocks at all.
+  const WavefrontPlan empty = plan_wavefront(3, 0, Params{1024}, &pool);
+  EXPECT_FALSE(empty.engage);
+  EXPECT_EQ(empty.num_blocks, 0u);
+  EXPECT_FALSE(empty.reason.empty());
 }
 
 TEST(FastSolver, LargeGridSelfConsistency) {

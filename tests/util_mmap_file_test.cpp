@@ -140,9 +140,20 @@ TEST(AtomicWriteFile, PublishesExactPayloadAndCleansTempName) {
   const auto path = dir.path() / "out.bin";
   const std::string payload = "published all at once";
   ASSERT_TRUE(atomic_write_file(path.string(), payload.data(), payload.size(),
-                                "tag0"));
+                                nullptr, 0, "tag0"));
   EXPECT_EQ(read_file(path), payload);
   EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp.tag0"));
+}
+
+TEST(AtomicWriteFile, TwoPiecePayloadIsHeadThenBody) {
+  nowsched::testing::TempDir dir("awf");
+  const auto path = dir.path() / "out.bin";
+  const std::string head = "HEADER:";
+  const std::string body(10000, 'b');
+  ASSERT_TRUE(atomic_write_file(path.string(), head.data(), head.size(),
+                                body.data(), body.size(), "tag1"));
+  EXPECT_EQ(read_file(path), head + body);
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp.tag1"));
 }
 
 TEST(AtomicWriteFile, ReplacesExistingTarget) {
@@ -151,9 +162,9 @@ TEST(AtomicWriteFile, ReplacesExistingTarget) {
   const std::string old_payload = "old";
   const std::string new_payload = "replacement content, longer";
   ASSERT_TRUE(atomic_write_file(path.string(), old_payload.data(),
-                                old_payload.size(), "a"));
+                                old_payload.size(), nullptr, 0, "a"));
   ASSERT_TRUE(atomic_write_file(path.string(), new_payload.data(),
-                                new_payload.size(), "b"));
+                                new_payload.size(), nullptr, 0, "b"));
   EXPECT_EQ(read_file(path), new_payload);
 }
 
@@ -162,7 +173,8 @@ TEST(AtomicWriteFile, UnwritableDirectoryFailsWithoutPublishing) {
   const auto path = dir.path() / "no-such-subdir" / "out.bin";
   const std::string payload = "x";
   EXPECT_FALSE(
-      atomic_write_file(path.string(), payload.data(), payload.size(), "t"));
+      atomic_write_file(path.string(), payload.data(), payload.size(),
+                        nullptr, 0, "t"));
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
@@ -196,7 +208,7 @@ TEST(AtomicWriteFile, ConcurrentWritersWithDistinctTagsPublishCompleteContent) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       EXPECT_TRUE(atomic_write_file(path.string(), payloads[w].data(),
-                                    payloads[w].size(), tags[w]));
+                                    payloads[w].size(), nullptr, 0, tags[w]));
     });
   }
   for (auto& t : writers) t.join();

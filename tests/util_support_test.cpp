@@ -6,6 +6,7 @@
 
 #include "util/csv.h"
 #include "util/flags.h"
+#include "util/simd.h"
 #include "util/table.h"
 
 namespace nowsched::util {
@@ -216,6 +217,30 @@ TEST(FlagsDeathTest, EmptyKeyIsRejectedAtParseTime) {
   const char* argv_eq[] = {"prog", "--=v"};
   EXPECT_EXIT(Flags(2, argv_eq), ::testing::ExitedWithCode(2),
               "empty flag name in \"--=v\"");
+}
+
+// ---------------------------------------------------------------------------
+// CPU probes (host-class stamping)
+// ---------------------------------------------------------------------------
+
+TEST(CpuProbes, MatchTheCompiledArchitecture) {
+  // The probes feed the host class that benches stamp on their records, so
+  // at most one ISA family may ever be reported, and never a foreign one.
+  const bool avx2 = simd::cpu_supports_avx2();
+  const bool neon = simd::cpu_supports_neon();
+  EXPECT_FALSE(avx2 && neon);
+#if defined(__aarch64__)
+  EXPECT_TRUE(neon);
+  EXPECT_FALSE(avx2);
+#elif defined(__x86_64__) || defined(__i386__)
+  EXPECT_FALSE(neon);
+#else
+  EXPECT_FALSE(avx2);
+  EXPECT_FALSE(neon);
+#endif
+  // Stable across calls.
+  EXPECT_EQ(simd::cpu_supports_avx2(), avx2);
+  EXPECT_EQ(simd::cpu_supports_neon(), neon);
 }
 
 }  // namespace

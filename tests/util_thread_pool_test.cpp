@@ -255,13 +255,6 @@ TEST(TaskGraph, AddEdgeValidatesIds) {
   EXPECT_THROW(g.add_edge(a, a), std::logic_error);
 }
 
-TEST(ThreadPool, DispatchOverheadIsPositiveAndMemoized) {
-  ThreadPool pool(2);
-  const double first = pool.dispatch_overhead_ns();
-  EXPECT_GT(first, 0.0);
-  EXPECT_EQ(pool.dispatch_overhead_ns(), first);
-}
-
 // ---- NOWSCHED_THREADS parsing ---------------------------------------------
 
 TEST(ThreadsFromEnv, UnsetMeansHardwareDefault) {
