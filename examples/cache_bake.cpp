@@ -19,6 +19,7 @@
 //
 // The nightly CI warm-start job is exactly steps 1–2 plus a bench rerun.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -79,7 +80,14 @@ int bake(nowsched::solver::MappedTableStore& store,
     }
     ++baked;
   }
+  // stats() drains the publisher first: every accepted table has either
+  // landed (counted in `stores`) or failed by now.
   const auto stats = store.stats();
+  if (stats.stores != static_cast<std::uint64_t>(baked)) {
+    std::fprintf(stderr, "cache_bake: only %llu of %d table(s) published\n",
+                 static_cast<unsigned long long>(stats.stores), baked);
+    return 1;
+  }
   std::printf(
       "baked %d table(s), skipped %d already present, %.2fs; store now holds "
       "%zu entr%s (%.1f MiB)\n",

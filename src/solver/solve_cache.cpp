@@ -85,7 +85,8 @@ std::shared_ptr<const ValueTable> SolveCache::get_or_solve(const SolveRequest& r
       }
       // Spill a FRESH solve to the persistent tier, outside every lock —
       // a store hit is already on disk, and a failed spill only costs the
-      // next cold process a solve.
+      // next cold process a solve. The store publishes asynchronously, so
+      // this costs the temp-file write, not the fsync.
       if (solved && store_ != nullptr && store_->store(key, table)) {
         spills_.fetch_add(1, std::memory_order_relaxed);
       }

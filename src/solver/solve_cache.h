@@ -11,6 +11,12 @@
 //   3. persistent tier (Options::store)     → store_hit (mmap, zero-copy)
 //   4. solve_fast                           → solve, then SPILL to the store
 //
+// A spill is handed to the store, not waited for: MappedTableStore writes
+// the temp file on the owner thread and publishes it (fsync + rename) from
+// its own thread. A later miss on a key still being published waits for
+// that publication in the store's load(), so it is a store_hit, not a
+// second solve.
+//
 // The storage half of the old monolithic cache now lives behind the
 // solver::TableStore interface (solver/table_store.h); what remains here is
 // the concurrency protocol. Requests hash onto one of S in-flight stripes
@@ -73,7 +79,9 @@ struct SolveCacheStats {
   std::uint64_t misses = 0;      ///< requests no RAM tier could answer
   std::uint64_t store_hits = 0;  ///< misses answered by the persistent tier
                                  ///< (a mapped read instead of a solve)
-  std::uint64_t spills = 0;      ///< fresh solves newly persisted to the store
+  std::uint64_t spills = 0;      ///< fresh solves the store accepted for
+                                 ///< publication (see TableStoreStats::stores
+                                 ///< for the ones that landed on disk)
   std::uint64_t evictions = 0;
   std::size_t entries = 0;       ///< resident tables + in-flight solves
   /// Bytes of finished resident tables (in-flight solves count 0 until

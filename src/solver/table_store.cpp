@@ -2,11 +2,11 @@
 
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <type_traits>
 #include <utility>
-
-#include "util/mmap_file.h"
 
 #if defined(_WIN32)
 #include <process.h>
@@ -256,6 +256,13 @@ std::string MappedTableStore::path_for(const SolveKey& key) const {
 }
 
 std::shared_ptr<const ValueTable> MappedTableStore::load(const SolveKey& key) {
+  {
+    // A pending key is on its way to disk: wait for it rather than miss and
+    // solve it a second time.
+    const std::uint64_t hash = key.hash();
+    std::unique_lock<std::mutex> lock(publish_mutex_);
+    landed_cv_.wait(lock, [&] { return !pending_.contains(hash); });
+  }
   const std::string path = path_for(key);
   std::unique_ptr<util::MappedFile> file = util::MappedFile::open(path);
   if (file == nullptr) {
@@ -293,15 +300,39 @@ bool MappedTableStore::store(const SolveKey& key,
     store_skips_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  const std::uint64_t hash = key.hash();
+  {
+    std::lock_guard<std::mutex> lock(publish_mutex_);
+    if (!pending_.insert(hash).second) {
+      // Build-once, in-process half: this key is already on its way.
+      store_skips_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+  }
   const std::string path = path_for(key);
   std::error_code ec;
   if (std::filesystem::exists(path, ec)) {
     // Build-once: somebody already published this key. A corrupt survivor
     // is healed through load()'s purge path, not overwritten here.
+    settle(hash);
     store_skips_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const std::span<const Ticks> slab = table->slab();
+  bool queued = false;
+  try {
+    queued = write_and_queue(key, *table, path);
+  } catch (...) {
+    settle(hash);  // never leave a loader waiting on a key nobody publishes
+    throw;
+  }
+  if (!queued) settle(hash);
+  return queued;
+}
+
+bool MappedTableStore::write_and_queue(const SolveKey& key,
+                                       const ValueTable& table,
+                                       const std::string& path) {
+  const std::span<const Ticks> slab = table.slab();
   const std::size_t slab_bytes = slab.size_bytes();
   const FileHeader header = make_header(
       key, slab_bytes, util::checksum_bytes(slab.data(), slab_bytes));
@@ -316,19 +347,84 @@ bool MappedTableStore::store(const SolveKey& key,
       std::to_string(static_cast<unsigned long>(::getpid())) +
 #endif
       "." + std::to_string(write_tag_.fetch_add(1, std::memory_order_relaxed));
-  if (!util::atomic_write_file(path, &header, sizeof(header), slab.data(),
-                               slab_bytes, tag)) {
-    return false;
+  std::optional<util::TempFile> file = util::write_temp_file(
+      path, &header, sizeof(header), slab.data(), slab_bytes, tag);
+  if (!file.has_value()) return false;
+
+  Publication publication{std::move(*file), key.hash()};
+  std::unique_lock<std::mutex> lock(publish_mutex_);
+  landed_cv_.wait(lock, [&] { return queue_.size() < kMaxQueuedPublications; });
+  if (!publisher_.joinable()) {
+    try {
+      publisher_ = std::thread([this] { publish_loop(); });
+    } catch (const std::system_error&) {
+      // No thread to hand off to: publish on the caller.
+      lock.unlock();
+      land(std::move(publication));
+      return true;
+    }
   }
-  stores_.fetch_add(1, std::memory_order_relaxed);
+  queue_.push_back(std::move(publication));
+  ++queued_;
+  work_cv_.notify_one();
   return true;
+}
+
+void MappedTableStore::land(Publication publication) {
+  if (util::publish_temp_file(std::move(publication.file))) {
+    stores_.fetch_add(1, std::memory_order_relaxed);
+  }
+  settle(publication.key_hash);
+}
+
+void MappedTableStore::settle(std::uint64_t key_hash) {
+  std::lock_guard<std::mutex> lock(publish_mutex_);
+  pending_.erase(key_hash);
+  landed_cv_.notify_all();
+}
+
+void MappedTableStore::publish_loop() {
+  std::unique_lock<std::mutex> lock(publish_mutex_);
+  for (;;) {
+    work_cv_.wait(lock, [&] { return stopping_ || (!queue_.empty() && !held_); });
+    if (queue_.empty()) return;  // stopping, and nothing left to publish
+    Publication publication = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    // land() notifies landed_cv_, which also wakes a store() waiting for
+    // the queue slot just freed.
+    land(std::move(publication));
+    lock.lock();
+    ++landed_;
+    landed_cv_.notify_all();
+  }
+}
+
+void MappedTableStore::flush() const {
+  std::unique_lock<std::mutex> lock(publish_mutex_);
+  const std::uint64_t target = queued_;
+  landed_cv_.wait(lock, [&] { return landed_ >= target; });
+}
+
+MappedTableStore::~MappedTableStore() {
+  {
+    // The publisher empties the queue before it exits, held or not.
+    std::lock_guard<std::mutex> lock(publish_mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  if (publisher_.joinable()) publisher_.join();
 }
 
 void MappedTableStore::clear() {
   if (options_.read_only) return;
+  // Drain first, so a queued rename cannot bring back a file removed below.
+  flush();
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(options_.dir, ec)) {
-    if (entry.path().extension() == kFileSuffix) {
+    const std::string name = entry.path().filename().string();
+    if (entry.path().extension() == kFileSuffix ||
+        name.find(std::string(kFileSuffix) + ".tmp.") != std::string::npos) {
       std::error_code remove_ec;
       std::filesystem::remove(entry.path(), remove_ec);
     }
@@ -336,6 +432,7 @@ void MappedTableStore::clear() {
 }
 
 TableStoreStats MappedTableStore::stats() const {
+  flush();
   TableStoreStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);

@@ -40,26 +40,57 @@
 //
 // ## Build-once writes, mmap reads
 //
-// store() publishes via temp-file + atomic rename (util::atomic_write_file)
-// and skips keys whose file already exists, so N processes racing to bake
-// one key produce one valid entry — every writer that publishes publishes
-// the same complete bytes (deterministic solver), and rename is atomic, so
-// a reader NEVER sees a torn file. load() maps the file read-only and wraps
-// the payload in a zero-copy ValueTable view whose keepalive pins the
-// mapping; the kernel page cache makes the second and later mappings of a
-// table effectively free, across processes.
+// store() publishes via temp-file + fsync + atomic rename, split across two
+// threads. The caller writes header and slab into a private temp file
+// (util::write_temp_file) and returns; the store's one publisher thread
+// then runs fsync → close → rename (util::publish_temp_file), so the
+// fsync, the slow part, never sits on the request path. The crash
+// protocol is the one-call protocol: a `.nwt` name never points at an
+// unsynced or partial file. store() skips keys whose file already exists
+// or whose publication is still pending, so N threads or processes racing
+// to bake one key produce one valid entry — every writer that publishes
+// publishes the same complete bytes (deterministic solver), and rename is
+// atomic, so a reader NEVER sees a torn file. load() maps the file
+// read-only and wraps the payload in a zero-copy ValueTable view whose
+// keepalive pins the mapping; the kernel page cache makes the second and
+// later mappings of a table effectively free, across processes.
+//
+// Asynchronous publication, in detail:
+//   * pending keys: a key is pending from the moment store() accepts it
+//     until its rename lands (or fails). load() of a pending key waits for
+//     that publication, so two caches over one store still solve a key
+//     exactly once; store() of a pending key is a store_skip.
+//   * drain points: clear(), stats(), flush() and the destructor first wait
+//     for every publication queued before the call. A clean shutdown
+//     therefore leaves every accepted table on disk.
+//   * the queue: at most kMaxQueuedPublications written temp files wait
+//     for the publisher; a full queue blocks store() (backpressure). An
+//     entry is an open fd and two paths — no table memory.
+//   * counters: store() returning true means "accepted for publication";
+//     `stores` counts publications that landed, so a publish that fails
+//     (its temp file is unlinked) is never counted and a later miss heals
+//     the key.
+// The publisher thread starts with the first accepted store(); a read-only
+// or load-only store never has one. A store with publications in flight
+// must not be used from the child of a fork().
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "solver/solve_key.h"
 #include "solver/value_table.h"
+#include "util/mmap_file.h"
 #include "util/striped_lock.h"
 
 namespace nowsched::solver {
@@ -73,9 +104,11 @@ struct TableStoreStats {
                                  ///< (corrupt / truncated / version or key
                                  ///< mismatch) — counted separately from
                                  ///< misses so store rot is observable
-  std::uint64_t stores = 0;      ///< store() calls that persisted a table
+  std::uint64_t stores = 0;      ///< tables persisted (mapped: publications
+                                 ///< whose rename landed)
   std::uint64_t store_skips = 0; ///< store() no-ops: entry already present
-                                 ///< (build-once) or backend read-only
+                                 ///< or pending (build-once), or backend
+                                 ///< read-only
   std::uint64_t evictions = 0;   ///< entries dropped for a byte budget
   std::size_t entries = 0;
   std::size_t bytes = 0;         ///< logical slab bytes held by the backend
@@ -95,9 +128,10 @@ class TableStore {
   virtual std::shared_ptr<const ValueTable> load(const SolveKey& key) = 0;
 
   /// Offers a finished table for retention. Returns true when the backend
-  /// newly retained/persisted it, false when it declined (already present,
-  /// read-only, I/O failure). Must never fail the caller: a spill that
-  /// cannot be written only costs the next process a solve.
+  /// newly retained it or accepted it for persistence, false when it
+  /// declined (already present or pending, read-only, I/O failure). Must
+  /// never fail the caller: a spill that cannot be written only costs the
+  /// next process a solve.
   virtual bool store(const SolveKey& key,
                      const std::shared_ptr<const ValueTable>& table) = 0;
 
@@ -199,10 +233,10 @@ class ResidentTableStore final : public TableStore {
 /// The persistent tier: a directory of `nowsched-table v1` files (format
 /// above), content-addressed by canonical key hash. load() mmaps read-only
 /// and returns a zero-copy ValueTable view; store() is build-once via
-/// atomic rename. Thread-safe and multi-process-safe by construction (see
-/// the header comment); every defective file is rejected, counted, and —
-/// unless the store is mounted read-only — unlinked so a later spill
-/// rebuilds it.
+/// atomic rename, published asynchronously by one background thread.
+/// Thread-safe and multi-process-safe by construction (see the header
+/// comment); every defective file is rejected, counted, and — unless the
+/// store is mounted read-only — unlinked so a later spill rebuilds it.
 class MappedTableStore final : public TableStore {
  public:
   struct Options {
@@ -217,10 +251,17 @@ class MappedTableStore final : public TableStore {
     bool purge_rejected = true;
   };
 
+  /// Most written temp files waiting for the publisher thread; store()
+  /// blocks while the queue is full.
+  static constexpr std::size_t kMaxQueuedPublications = 64;
+
   /// Throws std::runtime_error when the directory cannot be created (or,
   /// read-only, does not exist) — a misconfigured store path is a setup
   /// bug, unlike the per-file defects load() absorbs.
   explicit MappedTableStore(Options options);
+
+  /// Drains the publication queue, then stops the publisher thread.
+  ~MappedTableStore() override;
 
   MappedTableStore(const MappedTableStore&) = delete;
   MappedTableStore& operator=(const MappedTableStore&) = delete;
@@ -231,21 +272,35 @@ class MappedTableStore final : public TableStore {
   /// defect → nullptr (and the `rejected` counter; the file is unlinked
   /// unless read_only or !purge_rejected). Validation reads the whole
   /// payload once (the checksum pass); later access is served from the
-  /// page cache.
+  /// page cache. A key whose publication is pending is waited for first.
   std::shared_ptr<const ValueTable> load(const SolveKey& key) override;
 
-  /// Build-once spill: no-op when the key's file already exists or the
-  /// store is read-only; otherwise serializes header + slab and publishes
-  /// atomically. I/O failures return false and are counted, never thrown.
+  /// Build-once spill: no-op (a store_skip) when the key's file already
+  /// exists, its publication is pending, or the store is read-only;
+  /// otherwise writes header + slab to a temp file on the calling thread
+  /// and queues it for the publisher (blocking while the queue is full).
+  /// True means accepted for publication. I/O failures return false (or,
+  /// at publish time, are simply not counted as stores), never thrown.
   bool store(const SolveKey& key,
              const std::shared_ptr<const ValueTable>& table) override;
 
-  /// Removes every store file in the directory (no-op when read-only).
+  /// Drains the queue, then removes every store file in the directory and
+  /// every `*.nwt.tmp.*` temp file, including ones a crashed writer left
+  /// behind (no-op when read-only). A writer racing clear() from another
+  /// thread or process loses its publication; its next miss re-spills.
   void clear() override;
 
-  /// entries/bytes scan the directory (logical slab bytes, headers
-  /// excluded) — stats() is for benches and operators, not hot paths.
+  /// Drains the queue first, so `stores` and entries/bytes include every
+  /// publication accepted before the call. entries/bytes scan the directory
+  /// (logical slab bytes, headers excluded) — stats() is for benches and
+  /// operators, not hot paths.
   TableStoreStats stats() const override;
+
+  /// Waits until every publication queued before the call has landed (or
+  /// failed). For tests and bake tools that inspect the directory or hand
+  /// it to another store instance.
+  void flush() const;
+
   const char* name() const noexcept override { return "mapped"; }
 
   const std::string& dir() const noexcept { return options_.dir; }
@@ -265,13 +320,43 @@ class MappedTableStore final : public TableStore {
                                    const SolveKey* expect = nullptr);
 
  private:
+  friend struct MappedTableStoreTestPeer;  // holds the publisher in tests
+
+  /// One written temp file waiting for the publisher thread.
+  struct Publication {
+    util::TempFile file;
+    std::uint64_t key_hash = 0;
+  };
+
+  /// Writes the temp file and queues it; false when the write failed.
+  bool write_and_queue(const SolveKey& key, const ValueTable& table,
+                       const std::string& path);
+  /// Publishes one temp file, then retires its key from pending_.
+  void land(Publication publication);
+  /// Forgets a pending key whose store() gave up before queueing.
+  void settle(std::uint64_t key_hash);
+  void publish_loop();
+
   Options options_;
+  // Publication state, all guarded by publish_mutex_. work_cv_ wakes the
+  // publisher; landed_cv_ wakes everyone waiting on a landing (load() of a
+  // pending key, drains, store() blocked on a full queue).
+  mutable std::mutex publish_mutex_;
+  std::condition_variable work_cv_;
+  mutable std::condition_variable landed_cv_;
+  std::deque<Publication> queue_;
+  std::unordered_set<std::uint64_t> pending_;  ///< accepted, not yet landed
+  std::uint64_t queued_ = 0;  ///< publications ever queued
+  std::uint64_t landed_ = 0;  ///< publications ever finished, in queue order
+  bool held_ = false;         ///< publisher paused (test seam)
+  bool stopping_ = false;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> stores_{0};
   std::atomic<std::uint64_t> store_skips_{0};
   std::atomic<std::uint64_t> write_tag_{0};  ///< per-process temp-name nonce
+  std::thread publisher_;  ///< last: it uses every member above
 };
 
 }  // namespace nowsched::solver

@@ -22,6 +22,9 @@
 // file, the new file, or nothing. Concurrent writers of identical content
 // (the table store's case: solves are deterministic) are safe by the same
 // argument: last rename wins and every version was complete and identical.
+// It comes in two halves, write_temp_file and publish_temp_file (fsync,
+// close, rename), so a caller can write on its own thread and leave the
+// fsync to another one (solver::MappedTableStore's publisher thread).
 #pragma once
 
 #include <cstddef>
@@ -30,6 +33,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -141,71 +145,111 @@ class MappedFile {
 #endif
 };
 
-/// Publishes `head` followed by `body` at `path` atomically: the payload is
-/// written to a sibling temp file (same directory, so rename cannot cross filesystems)
-/// and renamed over the target. Returns false — leaving the target
-/// untouched — on any I/O failure. `tag` disambiguates concurrent writers'
-/// temp names (pass something process/thread-unique); the renames
-/// themselves need no coordination because each is atomic and every writer
-/// publishes identical complete content or none.
-/// Two pieces, so a caller publishing a header plus a large slab need not
-/// first copy both into one buffer (`body` may be empty).
-inline bool atomic_write_file(const std::string& path, const void* head,
-                              std::size_t head_size, const void* body,
-                              std::size_t body_size, const std::string& tag) {
-  const std::string tmp = path + ".tmp." + tag;
+/// A payload fully written to its private sibling temp file but not yet
+/// published under its final name: what write_temp_file hands to
+/// publish_temp_file. On POSIX the temp file is still open so the publish
+/// half can fsync it; on Windows the write half has already closed it.
+/// Move-only owner of the temp file: one destroyed before publication
+/// closes its fd and removes the file, so an abandoned write leaves
+/// nothing behind.
+struct TempFile {
+  TempFile(std::string tmp, std::string target)
+      : tmp_path(std::move(tmp)), path(std::move(target)) {}
+  TempFile(TempFile&& other) noexcept
+      : tmp_path(std::move(other.tmp_path)),
+        path(std::move(other.path)),
+        fd(std::exchange(other.fd, -1)),
+        owned(std::exchange(other.owned, false)) {}
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+  TempFile& operator=(TempFile&&) = delete;
+  ~TempFile() {
+    if (!owned) return;
+#if !defined(_WIN32)
+    if (fd >= 0) ::close(fd);
+#endif
+    std::remove(tmp_path.c_str());
+  }
+
+  std::string tmp_path;  ///< the sibling temp file holding the payload
+  std::string path;      ///< the name publish_temp_file renames it to
+  int fd = -1;
+  bool owned = true;     ///< the temp file is this object's to remove
+};
+
+/// The write half of atomic_write_file: writes `head` then `body` into the
+/// sibling temp file `path + ".tmp." + tag` (same directory, so the later
+/// rename cannot cross filesystems). Returns nullopt — with the temp file
+/// already removed — on any I/O failure. `tag` disambiguates concurrent
+/// writers' temp names (pass something process/thread-unique). Two pieces,
+/// so a caller publishing a header plus a large slab need not first copy
+/// both into one buffer (`body` may be empty).
+inline std::optional<TempFile> write_temp_file(const std::string& path,
+                                               const void* head,
+                                               std::size_t head_size,
+                                               const void* body,
+                                               std::size_t body_size,
+                                               const std::string& tag) {
+  TempFile file(path + ".tmp." + tag, path);
 #if defined(_WIN32)
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(static_cast<const char*>(head),
-              static_cast<std::streamsize>(head_size));
-    out.write(static_cast<const char*>(body),
-              static_cast<std::streamsize>(body_size));
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  // Windows rename() fails on an existing target; the table store's content
-  // is deterministic per name, so replacing is equivalent to keeping.
-  std::remove(path.c_str());
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  std::ofstream out(file.tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out) return std::nullopt;
+  out.write(static_cast<const char*>(head),
+            static_cast<std::streamsize>(head_size));
+  out.write(static_cast<const char*>(body),
+            static_cast<std::streamsize>(body_size));
+  out.close();
+  if (out.fail()) return std::nullopt;
 #else
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return false;
+  file.fd = ::open(file.tmp_path.c_str(),
+                   O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (file.fd < 0) return std::nullopt;
   for (const auto& [data, size] :
        {std::pair{head, head_size}, std::pair{body, body_size}}) {
     const unsigned char* bytes = static_cast<const unsigned char*>(data);
     std::size_t written = 0;
     while (written < size) {
-      const ::ssize_t n = ::write(fd, bytes + written, size - written);
-      if (n < 0) {
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return false;
-      }
+      const ::ssize_t n = ::write(file.fd, bytes + written, size - written);
+      if (n < 0) return std::nullopt;
       written += static_cast<std::size_t>(n);
     }
   }
+#endif
+  return file;
+}
+
+/// The publish half of atomic_write_file: fsync → close → rename, in that
+/// order, so the final name never points at an unsynced or partial file.
+/// Returns false — with the temp file removed and the target untouched —
+/// on any failure, including a temp file or directory that vanished since
+/// the write half. The renames need no coordination between writers
+/// because each is atomic and every writer publishes identical complete
+/// content or none.
+inline bool publish_temp_file(TempFile file) {
+#if defined(_WIN32)
+  // Windows rename() fails on an existing target; the table store's content
+  // is deterministic per name, so replacing is equivalent to keeping.
+  std::remove(file.path.c_str());
+#else
   // Flush payload before publishing the name: after a crash the target is
   // either absent or complete, never garbage with a valid-looking header.
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  return true;
+  const bool synced = ::fsync(file.fd) == 0;
+  if (::close(std::exchange(file.fd, -1)) != 0 || !synced) return false;
 #endif
+  if (std::rename(file.tmp_path.c_str(), file.path.c_str()) != 0) return false;
+  file.owned = false;  // the temp name is gone: it is the target now
+  return true;
+}
+
+/// Publishes `head` followed by `body` at `path` atomically, in one call:
+/// write_temp_file then publish_temp_file. Returns false — leaving the
+/// target untouched — on any I/O failure.
+inline bool atomic_write_file(const std::string& path, const void* head,
+                              std::size_t head_size, const void* body,
+                              std::size_t body_size, const std::string& tag) {
+  std::optional<TempFile> file =
+      write_temp_file(path, head, head_size, body, body_size, tag);
+  return file.has_value() && publish_temp_file(std::move(*file));
 }
 
 }  // namespace nowsched::util

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <filesystem>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +17,7 @@
 #include "sim/batch_runner.h"
 #include "solver/fast_solver.h"
 #include "solver/table_store.h"
+#include "table_store_test_peer.h"
 #include "temp_dir.h"
 
 namespace nowsched::solver {
@@ -506,6 +510,36 @@ TEST(SolveCacheTiered, EvictedTableComesBackFromTheStoreNotASolve) {
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.store_hits, 1u);
   EXPECT_EQ(stats.spills, 2u);  // a and b each solved (and spilled) once
+}
+
+TEST(SolveCacheTiered, MissOnAPendingPublicationIsAStoreHitNotASecondSolve) {
+  // Cache A solves and spills; the store has accepted the table but not yet
+  // published it (publisher held). Cache B misses on the same key while the
+  // publication is pending: its load() must wait for it and answer from
+  // the store, so the fleet still solves the key exactly once.
+  nowsched::testing::TempDir dir("pending");
+  auto store = std::make_shared<MappedTableStore>(
+      MappedTableStore::Options{dir.str()});
+  SolveCache first({2, 16u << 20, store});
+  SolveCache second({2, 16u << 20, store});
+  const SolveRequest req{2, 160, Params{16}};
+
+  MappedTableStoreTestPeer::hold_publisher(*store, true);
+  const auto solved = first.get_or_solve(req);
+  EXPECT_EQ(first.stats().spills, 1u);
+  EXPECT_FALSE(std::filesystem::exists(store->path_for(canonical_key(req))));
+
+  auto racing = std::async(std::launch::async, [&] { return second.get_or_solve(req); });
+  EXPECT_EQ(racing.wait_for(std::chrono::milliseconds(50)), std::future_status::timeout)
+      << "the miss must wait for the pending publication, not solve";
+  MappedTableStoreTestPeer::hold_publisher(*store, false);
+  const auto mapped = racing.get();
+  EXPECT_FALSE(mapped->owns_storage());  // a mapped view, not a fresh solve
+  expect_tables_identical(*solved, *mapped);
+  EXPECT_EQ(second.stats().misses, 1u);
+  EXPECT_EQ(second.stats().store_hits, 1u);
+  EXPECT_EQ(second.stats().spills, 0u);
+  EXPECT_EQ(store->stats().stores, 1u);
 }
 
 TEST(SolveCacheTiered, ConcurrentColdStartOverASharedStoreStaysExactlyOnce) {

@@ -8,16 +8,26 @@
 //     rejected and read as a miss, never a crash and never a wrong table;
 //   * build-once publication: racing writers (threads or forked processes)
 //     produce one valid entry;
-//   * rejected files self-heal (unlinked, re-spilled) unless read-only.
+//   * rejected files self-heal (unlinked, re-spilled) unless read-only;
+//   * asynchronous publication keeps the build-once promises: a pending key
+//     is waited for by load() and skipped by store(), clear() and the
+//     destructor drain the queue, and a failed publish heals on a later miss.
+//
+// store() returns once the temp file is written; the name appears when the
+// publisher thread has fsync'ed and renamed it. Tests that read, rewrite or
+// rename the file itself, or open the directory through a second store
+// instance, call flush() first.
 #include "solver/table_store.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +35,7 @@
 #include <vector>
 
 #include "solver/solve_cache.h"
+#include "table_store_test_peer.h"
 #include "temp_dir.h"
 #include "util/mmap_file.h"
 
@@ -70,7 +81,8 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 /// Bakes one small table into `store` and returns {key, freshly solved
-/// table}. The store file is at store.path_for(key) afterwards.
+/// table}. The store file is at store.path_for(key) once it is published
+/// (flush()).
 std::pair<SolveKey, std::shared_ptr<const ValueTable>> bake_one(
     MappedTableStore& store, const SolveRequest& req) {
   const SolveKey key = canonical_key(req);
@@ -199,6 +211,7 @@ TEST(MappedTableStore, ReadOnlyRequiresExistingDirectoryAndDeclinesWrites) {
   // Bake through a writable mount, then reopen read-only.
   MappedTableStore writer({dir.str()});
   auto [key, table] = bake_one(writer, small_request());
+  writer.flush();  // the reader is another instance: it cannot see pending keys
   MappedTableStore reader({dir.str(), /*read_only=*/true});
   ASSERT_NE(reader.load(key), nullptr);
   EXPECT_FALSE(reader.store(canonical_key(small_request(3, 32, 8)),
@@ -227,6 +240,7 @@ void expect_rejected_and_healed(
   auto store = std::make_shared<MappedTableStore>(
       MappedTableStore::Options{dir.str()});
   ASSERT_TRUE(store->store(key, expected));
+  store->flush();  // the file is rewritten below, so it must exist first
   const std::string path = store->path_for(key);
   write_file(path, mutate(read_file(path)));
 
@@ -245,6 +259,7 @@ void expect_rejected_and_healed(
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().store_hits, 0u);  // the store could not supply it
   EXPECT_EQ(cache.stats().spills, 1u);
+  store->flush();  // the re-spill is published asynchronously
   EXPECT_TRUE(MappedTableStore::validate_file(path, &key).empty())
       << "re-spill did not heal the store";
 }
@@ -315,6 +330,7 @@ TEST(MappedTableStoreCorruption, HeaderKeyMismatchRejected) {
   const SolveRequest req_a = small_request(1, 32, 8);
   const SolveRequest req_b = small_request(2, 64, 8);
   auto [key_a, table_a] = bake_one(store, req_a);
+  store.flush();  // the file is renamed below, so it must exist first
   const SolveKey key_b = canonical_key(req_b);
   std::filesystem::rename(store.path_for(key_a), store.path_for(key_b));
 
@@ -353,6 +369,186 @@ TEST(MappedTableStoreCorruption, ValidateFileOnMissingPathNamesTheProblem) {
   EXPECT_FALSE(
       MappedTableStore::validate_file((dir.path() / "nope.nwt").string())
           .empty());
+}
+
+// ---------------------------------------------------------------------------
+// Asynchronous publication: pending keys, drain points, failed publishes
+// ---------------------------------------------------------------------------
+
+/// Directory entries whose file name contains `needle`.
+std::size_t count_entries(const std::filesystem::path& dir,
+                          const std::string& needle) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().find(needle) != std::string::npos) ++n;
+  }
+  return n;
+}
+
+/// True when the call behind `f` is still running after a grace period:
+/// how these tests see a call block on a held publisher. A slow host can
+/// only make a call that wrongly returns early look blocked, never the
+/// reverse, so this cannot fail a correct store.
+template <typename T>
+bool still_blocked(const std::future<T>& f) {
+  return f.wait_for(std::chrono::milliseconds(50)) == std::future_status::timeout;
+}
+
+TEST(MappedTableStoreAsync, StoreReturnsBeforeTheNameIsPublished) {
+  nowsched::testing::TempDir dir("async");
+  MappedTableStore store({dir.str()});
+  MappedTableStoreTestPeer::hold_publisher(store, true);
+  auto [key, table] = bake_one(store, small_request());
+  // Written, not published: the temp file exists, the name does not.
+  EXPECT_FALSE(std::filesystem::exists(store.path_for(key)));
+  EXPECT_EQ(count_entries(dir.path(), ".nwt.tmp."), 1u);
+
+  MappedTableStoreTestPeer::hold_publisher(store, false);
+  store.flush();
+  EXPECT_TRUE(MappedTableStore::validate_file(store.path_for(key), &key).empty());
+  EXPECT_EQ(count_entries(dir.path(), ".tmp."), 0u);
+  EXPECT_EQ(store.stats().stores, 1u);
+}
+
+TEST(MappedTableStoreAsync, LoadOfAPendingKeyWaitsForItsPublication) {
+  nowsched::testing::TempDir dir("async");
+  MappedTableStore store({dir.str()});
+  MappedTableStoreTestPeer::hold_publisher(store, true);
+  auto [key, table] = bake_one(store, small_request());
+
+  auto loading = std::async(std::launch::async, [&store, key = key] {
+    return store.load(key);
+  });
+  EXPECT_TRUE(still_blocked(loading)) << "load() must wait, not miss";
+  MappedTableStoreTestPeer::hold_publisher(store, false);
+  const auto mapped = loading.get();
+  ASSERT_NE(mapped, nullptr);
+  expect_tables_identical(*table, *mapped);
+  const TableStoreStats stats = store.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+}
+
+TEST(MappedTableStoreAsync, StoreOfAPendingKeyIsASkip) {
+  nowsched::testing::TempDir dir("async");
+  MappedTableStore store({dir.str()});
+  MappedTableStoreTestPeer::hold_publisher(store, true);
+  auto [key, table] = bake_one(store, small_request());
+  EXPECT_FALSE(store.store(key, table));  // pending → skip, no second write
+  EXPECT_EQ(count_entries(dir.path(), ".nwt.tmp."), 1u);
+
+  MappedTableStoreTestPeer::hold_publisher(store, false);
+  const TableStoreStats stats = store.stats();
+  EXPECT_EQ(stats.stores, 1u);
+  EXPECT_EQ(stats.store_skips, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(MappedTableStoreAsync, DestructorDrainsSoAFreshInstanceSeesTheFile) {
+  nowsched::testing::TempDir dir("async");
+  const SolveRequest req = small_request();
+  std::shared_ptr<const ValueTable> table;
+  {
+    MappedTableStore store({dir.str()});
+    // Destroyed with the publisher held and the publication queued.
+    MappedTableStoreTestPeer::hold_publisher(store, true);
+    table = bake_one(store, req).second;
+  }
+  EXPECT_EQ(count_entries(dir.path(), ".tmp."), 0u);
+  MappedTableStore fresh({dir.str(), /*read_only=*/true});
+  const auto mapped = fresh.load(canonical_key(req));
+  ASSERT_NE(mapped, nullptr);
+  expect_tables_identical(*table, *mapped);
+}
+
+TEST(MappedTableStoreAsync, FailedPublishIsNotCountedAndALaterMissHeals) {
+  nowsched::testing::TempDir dir("async");
+  const SolveRequest req = small_request();
+  const SolveKey key = canonical_key(req);
+  auto store = std::make_shared<MappedTableStore>(
+      MappedTableStore::Options{dir.str()});
+  MappedTableStoreTestPeer::hold_publisher(*store, true);
+  ASSERT_TRUE(store->store(key, solve_shared(req)));
+  // The store directory vanishes under the queued publication (its temp
+  // file with it), then comes back empty: the rename must fail.
+  std::filesystem::remove_all(dir.path());
+  std::filesystem::create_directories(dir.path());
+  MappedTableStoreTestPeer::hold_publisher(*store, false);
+  store->flush();
+  EXPECT_EQ(store->stats().stores, 0u);
+  EXPECT_EQ(count_entries(dir.path(), ""), 0u);
+
+  // The key is no longer pending, so the next miss solves and re-spills.
+  SolveCache cache({2, 16u << 20, store});
+  const auto healed = cache.get_or_solve(req);
+  expect_tables_identical(*solve_shared(req), *healed);
+  EXPECT_EQ(cache.stats().store_hits, 0u);
+  EXPECT_EQ(cache.stats().spills, 1u);
+  store->flush();
+  EXPECT_TRUE(MappedTableStore::validate_file(store->path_for(key), &key).empty());
+  EXPECT_EQ(store->stats().stores, 1u);
+}
+
+TEST(MappedTableStoreAsync, FailedPublishUnlinksItsTempFile) {
+  nowsched::testing::TempDir dir("async");
+  MappedTableStore store({dir.str()});
+  MappedTableStoreTestPeer::hold_publisher(store, true);
+  auto [key, table] = bake_one(store, small_request());
+  // A directory squatting on the final name makes the rename fail while
+  // the temp file is still there to clean up.
+  std::filesystem::create_directory(store.path_for(key));
+  MappedTableStoreTestPeer::hold_publisher(store, false);
+  store.flush();
+  EXPECT_EQ(count_entries(dir.path(), ".tmp."), 0u) << "temp file leaked";
+  EXPECT_TRUE(std::filesystem::is_directory(store.path_for(key)));
+  EXPECT_EQ(store.stats().stores, 0u);
+}
+
+TEST(MappedTableStoreAsync, FullQueueBlocksStoreUntilThePublisherCatchesUp) {
+  nowsched::testing::TempDir dir("async");
+  MappedTableStore store({dir.str()});
+  MappedTableStoreTestPeer::hold_publisher(store, true);
+  constexpr std::size_t kQueue = MappedTableStore::kMaxQueuedPublications;
+  auto request = [](std::size_t k) {
+    return small_request(1, static_cast<Ticks>(8 * (k + 1)), 8);  // distinct keys
+  };
+  for (std::size_t k = 0; k < kQueue; ++k) bake_one(store, request(k));
+
+  auto overflow = std::async(std::launch::async, [&] {
+    return store.store(canonical_key(request(kQueue)), solve_shared(request(kQueue)));
+  });
+  EXPECT_TRUE(still_blocked(overflow)) << "a full queue must block store()";
+  MappedTableStoreTestPeer::hold_publisher(store, false);
+  EXPECT_TRUE(overflow.get());
+  const TableStoreStats stats = store.stats();
+  EXPECT_EQ(stats.stores, kQueue + 1);
+  EXPECT_EQ(stats.entries, kQueue + 1);
+}
+
+TEST(MappedTableStoreAsync, ClearDrainsTheQueueAndRemovesOrphanedTempFiles) {
+  nowsched::testing::TempDir dir("async");
+  MappedTableStore store({dir.str()});
+  // A crashed writer's leftover: a temp file nobody will ever rename.
+  // stats() does not count it; clear() must still remove it.
+  write_file((dir.path() / "0123456789abcdef.nwt.tmp.4242.7").string(), "partial");
+  write_file((dir.path() / "NOTES.txt").string(), "not a store file");
+  EXPECT_EQ(store.stats().entries, 0u);
+
+  MappedTableStoreTestPeer::hold_publisher(store, true);
+  auto [key, table] = bake_one(store, small_request());
+  auto clearing = std::async(std::launch::async, [&store] { store.clear(); });
+  EXPECT_TRUE(still_blocked(clearing)) << "clear() must drain the queue first";
+  MappedTableStoreTestPeer::hold_publisher(store, false);
+  clearing.get();
+
+  // The queued publication landed before the sweep (so it is counted) and
+  // the sweep then removed it: no rename can resurrect it afterwards.
+  EXPECT_EQ(store.stats().stores, 1u);
+  EXPECT_FALSE(std::filesystem::exists(store.path_for(key)));
+  EXPECT_EQ(count_entries(dir.path(), ".tmp."), 0u);
+  EXPECT_TRUE(std::filesystem::exists(dir.path() / "NOTES.txt"))
+      << "clear() removes store files only";
+  EXPECT_EQ(store.stats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------

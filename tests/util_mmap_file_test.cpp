@@ -1,7 +1,8 @@
 // util/mmap_file.h — the persistent store's file primitives: the
 // platform-stable content checksum, read-only memory mapping, and atomic
-// whole-file publication. The table store's integrity story reduces to
-// these three, so they are pinned directly.
+// whole-file publication (in one call, or as its write and publish halves).
+// The table store's integrity story reduces to these three, so they are
+// pinned directly.
 #include "util/mmap_file.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,6 +177,52 @@ TEST(AtomicWriteFile, UnwritableDirectoryFailsWithoutPublishing) {
   EXPECT_FALSE(
       atomic_write_file(path.string(), payload.data(), payload.size(),
                         nullptr, 0, "t"));
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(AtomicWriteFile, WriteHalfLeavesTheTargetAbsentUntilPublished) {
+  nowsched::testing::TempDir dir("awf");
+  const auto path = dir.path() / "out.bin";
+  const std::string head = "HEADER:";
+  const std::string body = "body";
+  std::optional<TempFile> file = write_temp_file(
+      path.string(), head.data(), head.size(), body.data(), body.size(), "h");
+  ASSERT_TRUE(file.has_value());
+  const std::string tmp_path = file->tmp_path;
+  EXPECT_EQ(file->path, path.string());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(tmp_path));
+
+  ASSERT_TRUE(publish_temp_file(std::move(*file)));
+  EXPECT_EQ(read_file(path), head + body);
+  EXPECT_FALSE(std::filesystem::exists(tmp_path));
+}
+
+TEST(AtomicWriteFile, AbandonedTempFileIsRemoved) {
+  nowsched::testing::TempDir dir("awf");
+  const auto path = dir.path() / "out.bin";
+  const std::string payload = "never published";
+  std::string tmp_path;
+  {
+    std::optional<TempFile> file = write_temp_file(
+        path.string(), payload.data(), payload.size(), nullptr, 0, "a");
+    ASSERT_TRUE(file.has_value());
+    tmp_path = file->tmp_path;
+    EXPECT_TRUE(std::filesystem::exists(tmp_path));
+  }
+  EXPECT_FALSE(std::filesystem::exists(tmp_path));
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(AtomicWriteFile, PublishFailsWithoutATargetWhenTheTempFileVanished) {
+  nowsched::testing::TempDir dir("awf");
+  const auto path = dir.path() / "out.bin";
+  const std::string payload = "x";
+  std::optional<TempFile> file = write_temp_file(
+      path.string(), payload.data(), payload.size(), nullptr, 0, "v");
+  ASSERT_TRUE(file.has_value());
+  std::filesystem::remove(file->tmp_path);
+  EXPECT_FALSE(publish_temp_file(std::move(*file)));
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
